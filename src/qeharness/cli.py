@@ -8,19 +8,19 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import SCORE_BINS, histogram, load_corpora, split_size_warnings
+from .corpus import (SCORE_BINS, histogram, load_corpora, read_jsonl,
+                     split_size_warnings, write_json, write_jsonl)
 from .errors import HarnessError, ManifestError
-from .extraction import ExtractionResult, extract_batch
+from .extraction import ExtractionResult, extract_batch, untrustworthy
 from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
                         write_plot_data_tsv, write_records_jsonl,
                         write_summary_tsv)
 from .gateway import ModelOutput
 from .metrics import CorrelationReport, evaluate
-from .pipeline import (RunManifest, render_detailed_table, render_table, run,
+from .pipeline import (RunManifest, parse_mock_arg, render_detailed_table,
+                       render_prompts, render_table, run, select_pairs,
                        worst_deviations, write_worst_tsv)
-from .prompts import (IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
-                      load_templates, render_icl, render_zero_shot,
-                      select_icl_exemplars)
+from .prompts import TemplateId, load_templates
 from .sft_export import SftConfig, SftMode, export
 
 
@@ -133,50 +133,17 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_render(args) -> int:
-    seed = args.seed or 0
-    corpora = load_corpora(_require_manifest(args))
-    if args.pairs:
-        wanted = set(args.pairs)
-        corpora = [c for c in corpora if str(c.pair) in wanted]
-    templates = load_templates(args.template_dir)
-    tid = TemplateId(args.template)
-    template = templates[tid]
-
-    lines = []
-    for corpus in corpora:
-        if tid in ZERO_SHOT_TEMPLATES:
-            prompts = [render_zero_shot(template, seg, seed)
-                       for seg in corpus.test]
-        else:
-            exemplars = select_icl_exemplars(list(corpus.train),
-                                             IclConfig.for_template(tid),
-                                             seed)
-            prompts = [render_icl(template, exemplars, seg, seed)
-                       for seg in corpus.test]
-        lines.extend(json.dumps(p.to_dict(), sort_keys=True) for p in prompts)
-
-    text = "\n".join(lines) + ("\n" if lines else "")
+    corpora = select_pairs(load_corpora(_require_manifest(args)), args.pairs)
+    template = load_templates(args.template_dir)[TemplateId(args.template)]
+    dicts = [p.to_dict() for corpus in corpora
+             for p in render_prompts(corpus, template, args.seed or 0)]
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {len(lines)} prompts to {args.out}")
+        write_jsonl(args.out, dicts)
+        print(f"wrote {len(dicts)} prompts to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(json.dumps(d, sort_keys=True) + "\n"
+                              for d in dicts)
     return 0
-
-
-def _parse_mock_arg(text: str) -> dict:
-    kind, _, rest = text.partition(":")
-    if kind == "echo-score":
-        return ({"policy": "echo-score", "offset": float(rest)} if rest
-                else {"policy": "echo-score"})
-    if kind == "fixed":
-        return {"policy": "fixed", "text": rest}
-    if kind == "garbage":
-        return {"policy": "garbage", "p": float(rest or "0.1")}
-    if kind == "fail":
-        ids = [int(v) for v in rest.split(",") if v]
-        return {"policy": "fail", "segment_ids": ids}
-    raise ManifestError(f"unknown mock policy {text!r}")
 
 
 def cmd_run(args) -> int:
@@ -187,7 +154,7 @@ def cmd_run(args) -> int:
     if args.resume:
         updates["resume"] = True
     if args.mock:
-        updates["mock"] = _parse_mock_arg(args.mock)
+        updates["mock"] = parse_mock_arg(args.mock)
     if args.seed is not None:
         updates["seed"] = args.seed
     if updates:
@@ -197,8 +164,8 @@ def cmd_run(args) -> int:
     print(f"run dir: {result.run_dir}")
     print(f"inference calls: {result.inference_calls}")
     for report in result.reports:
-        flag = " (untrustworthy)" if report.n_excluded > 0.10 * (
-            report.n_used + report.n_excluded) else ""
+        flag = " (untrustworthy)" if untrustworthy(
+            report.n_excluded, report.n_used + report.n_excluded) else ""
         print(f"{report.pair}/{report.template}/{report.model}: "
               f"r={report.pearson_r:.3f} rho={report.spearman_rho:.3f} "
               f"tau={report.kendall_tau:.3f} E={report.n_excluded}{flag} "
@@ -209,40 +176,27 @@ def cmd_run(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    outputs = []
-    for line in args.outputs.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            outputs.append(ModelOutput.from_dict(json.loads(line)))
+    outputs = [ModelOutput.from_dict(d) for d in read_jsonl(args.outputs)]
     results, ledger = extract_batch(outputs, model=args.model)
 
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        with (args.out / "extractions.jsonl").open("w", encoding="utf-8") as fh:
-            for res in results:
-                fh.write(json.dumps(res.to_dict(), sort_keys=True) + "\n")
-        (args.out / "ledger.json").write_text(
-            json.dumps(ledger.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_jsonl(args.out / "extractions.jsonl",
+                    (res.to_dict() for res in results))
+        write_json(args.out / "ledger.json", ledger.to_dict())
     print(f"total={ledger.total} excluded={ledger.excluded_count} "
           f"untrustworthy={ledger.flagged_untrustworthy}")
     return 0
 
 
-def _load_extractions(path: Path) -> list[ExtractionResult]:
-    results = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            results.append(ExtractionResult.from_dict(json.loads(line)))
-    return results
-
-
 def cmd_score(args) -> int:
     corpora = load_corpora(_require_manifest(args))
-    matching = [c for c in corpora if str(c.pair) == args.pair]
+    matching = select_pairs(corpora, [args.pair])
     if not matching:
         raise ManifestError(f"pair {args.pair} not in the corpus manifest")
     corpus = matching[0]
-    results = _load_extractions(args.extractions)
+    results = [ExtractionResult.from_dict(d)
+               for d in read_jsonl(args.extractions)]
 
     gold_by_id = {seg.id: seg.da_mean for seg in corpus.test}
     report = evaluate(gold_by_id, results, pair=args.pair,
@@ -254,9 +208,7 @@ def cmd_score(args) -> int:
 
     out_dir = args.out or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(out_dir / "report.json", report.to_dict())
     if args.dump_worst:
         rows = worst_deviations(corpus, results, args.dump_worst)
         worst_path = out_dir / f"worst_{args.dump_worst}.tsv"
@@ -288,13 +240,10 @@ def cmd_table(args) -> int:
 
 def cmd_fertility(args) -> int:
     corpora = load_corpora(_require_manifest(args))
-    tokenizers = []
-    for line in args.tokenizers.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        spec = json.loads(line)
-        definition = (args.tokenizers.parent / spec["definition"]).resolve()
-        tokenizers.append(load_tokenizer(spec["name"], definition))
+    tokenizers = [
+        load_tokenizer(spec["name"],
+                       (args.tokenizers.parent / spec["definition"]).resolve())
+        for spec in read_jsonl(args.tokenizers)]
 
     records = []
     failures = []

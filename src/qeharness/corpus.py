@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import FileUnreadable, MissingColumn, RowParseError, ScoreOutOfRange
 
@@ -23,7 +25,8 @@ __all__ = [
     "LangPair", "Split", "Segment", "Corpus", "ScoreBin", "SCORE_BINS",
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
     "write_corpus_tsv", "CorpusEntry", "load_corpus_manifest", "load_corpora",
-    "EXPECTED_SPLIT_SIZES", "split_size_warnings",
+    "EXPECTED_SPLIT_SIZES", "split_size_warnings", "write_jsonl",
+    "write_json", "read_jsonl",
 ]
 
 
@@ -230,6 +233,46 @@ def write_corpus_tsv(segments: list[Segment] | tuple[Segment, ...],
             writer.writerow([seg.source, seg.translation, repr(seg.da_mean)])
 
 
+# -- JSON I/O ----------------------------------------------------------------
+
+def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
+    """Stream one sorted-key JSON object per line to a temp file, then move
+    it into place, so the file at path is never seen half written."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        for d in dicts:
+            fh.write(json.dumps(d, sort_keys=True) + "\n")
+    os.replace(tmp, path)
+
+
+def write_json(path: str | Path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield the JSON object on each non-blank line of path. An unreadable
+    file raises FileUnreadable, a torn or non-object line RowParseError."""
+    path = Path(path)
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RowParseError(lineno,
+                                    f"bad JSON in {path}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise RowParseError(lineno, f"not a JSON object in {path}")
+            yield rec
+
+
 # -- corpus manifest ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -247,19 +290,8 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
     pair / train / test and an optional columns map. Relative paths resolve
     against the manifest's directory."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-
     entries = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RowParseError(lineno, f"bad manifest record: {exc}") from exc
+    for rec in read_jsonl(path):
         for key in ("pair", "train", "test"):
             if key not in rec:
                 raise MissingColumn(key)

@@ -17,7 +17,7 @@ __all__ = [
     "REASON_NO_NUMERIC_MATCH", "REASON_OUT_OF_RANGE", "REASON_TRANSPORT_FAILED",
     "REASON_AMBIGUOUS", "EXCLUSION_REASONS", "Outcome", "ExtractionResult",
     "ExclusionLedger", "extract_score", "extract_batch",
-    "UNTRUSTWORTHY_EXCLUSION_SHARE",
+    "UNTRUSTWORTHY_EXCLUSION_SHARE", "untrustworthy",
 ]
 
 REASON_NO_NUMERIC_MATCH = "NoNumericMatch"
@@ -155,6 +155,10 @@ class ExtractionResult:
 UNTRUSTWORTHY_EXCLUSION_SHARE = 0.10
 
 
+def untrustworthy(excluded: int, total: int) -> bool:
+    return excluded > UNTRUSTWORTHY_EXCLUSION_SHARE * total
+
+
 @dataclass(frozen=True)
 class ExclusionLedger:
     """Exclusion accounting for one (pair, template, model) run."""
@@ -168,7 +172,7 @@ class ExclusionLedger:
 
     @property
     def flagged_untrustworthy(self) -> bool:
-        return self.excluded_count > UNTRUSTWORTHY_EXCLUSION_SHARE * self.total
+        return untrustworthy(self.excluded_count, self.total)
 
     def to_dict(self) -> dict:
         return {

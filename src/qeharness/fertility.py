@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Segment
+from .corpus import Corpus, Segment, write_jsonl
 from .errors import FileUnreadable, SampleTooLarge, TokenizerDefinitionError
 from .seeding import seeded_sample
 
@@ -295,9 +295,7 @@ def write_summary_tsv(summaries: list[FertilitySummary], path: str | Path) -> No
 
 
 def write_records_jsonl(records: list[FertilityRecord], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(path, (rec.to_dict() for rec in records))
 
 
 def write_plot_data_tsv(summaries: list[FertilitySummary], path: str | Path) -> None:

@@ -28,7 +28,7 @@ __all__ = [
     "FAIL_RATE_LIMITED", "FAIL_TIMEOUT", "FAIL_CONNECTION", "FAIL_PROTOCOL",
     "FAIL_CONTEXT_OVERFLOW", "FAIL_MOCK", "PromptRef", "InferenceConfig",
     "ModelOutput", "TransportError", "HttpBackend", "MockBackend",
-    "EchoScore", "Fixed", "Garbage", "Fail", "mock_backend", "gold_map",
+    "EchoScore", "Fixed", "Garbage", "Fail", "gold_map",
     "complete", "complete_batch", "estimate_tokens",
 ]
 
@@ -307,11 +307,6 @@ class MockBackend:
         finally:
             with self._lock:
                 self._in_flight -= 1
-
-
-def mock_backend(policy, gold=None, seed: int = 0,
-                 latency: float = 0.0) -> MockBackend:
-    return MockBackend(policy, gold=gold, seed=seed, latency=latency)
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -15,9 +15,10 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import Corpus, load_corpora
+from .corpus import Corpus, load_corpora, read_jsonl, write_json, write_jsonl
 from .errors import EndpointMissing, ManifestError, HarnessError
-from .extraction import ExclusionLedger, ExtractionResult, extract_batch
+from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
+                         untrustworthy)
 from .gateway import (EchoScore, Fail, Fixed, Garbage, HttpBackend,
                       InferenceConfig, ModelOutput, MockBackend, complete_batch,
                       gold_map)
@@ -28,6 +29,7 @@ from .prompts import (ICL_TEMPLATES, IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
 
 __all__ = [
     "ERROR_TAXONOMY", "RunManifest", "RunResult", "run", "build_mock_policy",
+    "parse_mock_arg", "select_pairs", "render_prompts",
     "ResultTable", "TableCell", "build_result_table", "render_table",
     "render_detailed_table", "worst_deviations", "write_worst_tsv",
     "PAIR_ORDER",
@@ -65,9 +67,6 @@ class RunManifest:
     mock: dict | None = None
     template_dir: str | None = None
     resume: bool = False
-
-    def effective_icl_seed(self) -> int:
-        return self.seed if self.icl_seed is None else self.icl_seed
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +112,7 @@ class RunManifest:
 
 
 def build_mock_policy(spec: dict):
-    """Construct a mock policy from its manifest encoding."""
+    """Construct a mock policy from its manifest encoding, with defaults."""
     kind = spec.get("policy")
     if kind == "echo-score":
         offset = spec.get("offset")
@@ -123,10 +122,50 @@ def build_mock_policy(spec: dict):
     if kind == "fixed":
         return Fixed(spec.get("text", ""))
     if kind == "garbage":
-        return Garbage(float(spec.get("p", 0.0)))
+        return Garbage(float(spec.get("p", 0.1)))
     if kind == "fail":
         return Fail(segment_ids=frozenset(spec.get("segment_ids", [])))
     raise ManifestError(f"unknown mock policy {kind!r}")
+
+
+# --mock KIND:VALUE -> (manifest field, parser) for VALUE
+_MOCK_ARGS = {
+    "echo-score": ("offset", float),
+    "fixed": ("text", str),
+    "garbage": ("p", float),
+    "fail": ("segment_ids", lambda v: [int(i) for i in v.split(",") if i]),
+}
+
+
+def parse_mock_arg(text: str) -> dict:
+    """The manifest encoding of a --mock value such as echo-score:5,
+    fixed:TEXT, garbage:0.1 or fail:3,5. A bare KIND leaves its value out,
+    so build_mock_policy's default applies."""
+    kind, _, rest = text.partition(":")
+    if kind not in _MOCK_ARGS:
+        raise ManifestError(f"unknown mock policy {text!r}")
+    name, parse = _MOCK_ARGS[kind]
+    return {"policy": kind, name: parse(rest)} if rest else {"policy": kind}
+
+
+def select_pairs(corpora: list[Corpus], pairs) -> list[Corpus]:
+    """The corpora whose pair is listed, in corpus order; all if none is."""
+    if not pairs:
+        return list(corpora)
+    wanted = set(pairs)
+    return [c for c in corpora if str(c.pair) in wanted]
+
+
+def render_prompts(corpus: Corpus, template, seed: int,
+                   icl_seed: int | None = None) -> list:
+    """One prompt per test segment. ICL templates draw their exemplars from
+    the train split under icl_seed, which defaults to seed."""
+    if template.id in ZERO_SHOT_TEMPLATES:
+        return [render_zero_shot(template, seg, seed) for seg in corpus.test]
+    exemplars = select_icl_exemplars(
+        list(corpus.train), IclConfig.for_template(template.id),
+        seed if icl_seed is None else icl_seed)
+    return [render_icl(template, exemplars, seg, seed) for seg in corpus.test]
 
 
 @dataclass
@@ -136,12 +175,6 @@ class RunResult:
     ledgers: list[ExclusionLedger]
     inference_calls: int
     errors: dict  # (pair, template) -> error string
-
-
-def _jsonl(path: Path, dicts) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for d in dicts:
-            fh.write(json.dumps(d, sort_keys=True) + "\n")
 
 
 def _context_default(template_id: TemplateId) -> int:
@@ -160,17 +193,13 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     templates = load_templates(manifest.template_dir)
-    corpora = load_corpora(manifest.corpora_manifest)
-    if manifest.pairs:
-        wanted = set(manifest.pairs)
-        corpora = [c for c in corpora if str(c.pair) in wanted]
+    corpora = select_pairs(load_corpora(manifest.corpora_manifest),
+                           manifest.pairs)
 
     base_cfg = InferenceConfig(**manifest.inference)
     if backend is None:
         if manifest.mock is not None:
-            gold = {}
-            for corpus in corpora:
-                gold.update(gold_map(corpus.test))
+            gold = gold_map(seg for corpus in corpora for seg in corpus.test)
             backend = MockBackend(build_mock_policy(manifest.mock), gold=gold,
                                   seed=manifest.seed)
         elif base_cfg.endpoint_url:
@@ -179,9 +208,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
             raise EndpointMissing(
                 "manifest has neither an endpoint_url nor a mock policy")
 
-    (out / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(out / "manifest.json", manifest.to_dict())
 
     log_path = out / "log.txt"
     reports: list[CorrelationReport] = []
@@ -215,8 +242,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
                    for (pair, tid), msg in sorted(errors.items())},
         "inference_calls": dispatched_total,
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "summary.json", summary)
     return RunResult(run_dir=out, reports=reports, ledgers=ledgers,
                      inference_calls=dispatched_total, errors=errors)
 
@@ -229,14 +255,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     if "max_context_tokens" not in manifest.inference:
         cfg = replace(cfg, max_context_tokens=_context_default(tid))
 
-    if tid in ZERO_SHOT_TEMPLATES:
-        prompts = [render_zero_shot(template, seg, seed) for seg in corpus.test]
-    else:
-        exemplars = select_icl_exemplars(list(corpus.train),
-                                         IclConfig.for_template(tid),
-                                         manifest.effective_icl_seed())
-        prompts = [render_icl(template, exemplars, seg, seed)
-                   for seg in corpus.test]
+    prompts = render_prompts(corpus, template, seed, manifest.icl_seed)
 
     stem = f"{pair}__{tid.value}__{_safe(cfg.model_name)}__seed{seed}"
     prompts_path = out / "prompts" / f"{pair}__{tid.value}__v{template.version}__seed{seed}.jsonl"
@@ -244,14 +263,13 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     extractions_path = out / "extractions" / f"{stem}.jsonl"
     report_path = out / "reports" / f"{stem}.json"
 
-    _jsonl(prompts_path, (p.to_dict() for p in prompts))
+    write_jsonl(prompts_path, (p.to_dict() for p in prompts))
 
     persisted: dict[int, ModelOutput] = {}
     if manifest.resume and outputs_path.exists():
-        for line in outputs_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                output = ModelOutput.from_dict(json.loads(line))
-                persisted[output.prompt_ref.segment_id] = output
+        for d in read_jsonl(outputs_path):
+            output = ModelOutput.from_dict(d)
+            persisted[output.prompt_ref.segment_id] = output
 
     todo = [p for p in prompts if p.target_segment_id not in persisted]
     fresh = complete_batch(cfg, todo, backend)
@@ -259,12 +277,12 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     for output in fresh:
         by_segment[output.prompt_ref.segment_id] = output
     outputs = [by_segment[p.target_segment_id] for p in prompts]
-    _jsonl(outputs_path, (o.to_dict() for o in outputs))
+    write_jsonl(outputs_path, (o.to_dict() for o in outputs))
     log(f"{pair}/{tid.value}: {len(todo)} dispatched, "
         f"{len(persisted)} resumed")
 
     results, ledger = extract_batch(outputs, model=cfg.model_name)
-    _jsonl(extractions_path, (r.to_dict() for r in results))
+    write_jsonl(extractions_path, (r.to_dict() for r in results))
 
     gold_by_id = {seg.id: seg.da_mean for seg in corpus.test}
     report = None
@@ -277,8 +295,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
         error = f"{type(exc).__name__}: {exc}"
         doc = {"report": None, "ledger": ledger.to_dict(), "error": error}
         log(f"{pair}/{tid.value}: evaluation failed: {error}")
-    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    write_json(report_path, doc)
     return len(todo), report, ledger, error
 
 
@@ -321,6 +338,14 @@ def _pair_sort_key(pair: str):
     return (1, pair)
 
 
+def _axes(reports: list[CorrelationReport]):
+    """(pairs, templates, models) present in reports, in table order."""
+    template_order = [t.value for t in TemplateId]
+    return (sorted({r.pair for r in reports}, key=_pair_sort_key),
+            sorted({r.template for r in reports}, key=template_order.index),
+            sorted({r.model for r in reports}))
+
+
 def build_result_table(reports: list[CorrelationReport],
                        metric: str = "rho") -> ResultTable:
     """Assemble cells and markers for one coefficient.
@@ -334,11 +359,7 @@ def build_result_table(reports: list[CorrelationReport],
         raise ValueError(f"metric must be one of {sorted(_METRIC_ATTR)}")
     attr = _METRIC_ATTR[metric]
 
-    pairs = sorted({r.pair for r in reports}, key=_pair_sort_key)
-    template_order = [t.value for t in TemplateId]
-    templates = sorted({r.template for r in reports},
-                       key=template_order.index)
-    models = sorted({r.model for r in reports})
+    pairs, templates, models = _axes(reports)
 
     values: dict = {}
     insig: dict = {}
@@ -399,49 +420,44 @@ _LEGEND = ("markers: * best zero-shot | ^ best ICL | # best overall | "
            "† p > 0.05")
 
 
+def _layout(header: list[str], body: list[list[str]], fmt: str,
+            title: tuple[str, str] | None = None) -> str:
+    """Lay out a header row and body rows as plain text, TSV or markdown.
+
+    title, a (heading, legend) pair, opens the plain and markdown forms.
+    """
+    if fmt == "tsv":
+        lines = ["\t".join(row) for row in [header] + body]
+    elif fmt == "markdown":
+        lines = [f"**{title[0]}** ({title[1]})", ""] if title else []
+        lines += ["| " + " | ".join(header) + " |",
+                  "|" + "|".join("---" for _ in header) + "|"]
+        lines += ["| " + " | ".join(row) + " |" for row in body]
+    elif fmt == "plain":
+        widths = [max(len(row[i]) for row in [header] + body)
+                  for i in range(len(header))]
+        lines = [f"{title[0]}    {title[1]}"] if title else []
+        lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip()
+                  for row in [header] + body]
+    else:
+        raise ValueError(f"unknown table format {fmt!r}")
+    return "\n".join(lines) + "\n"
+
+
 def render_table(reports: list[CorrelationReport], metric: str = "rho",
                  fmt: str = "plain") -> str:
     """Render the per-pair result grid in plain text, TSV, or markup."""
     table = build_result_table(reports, metric)
-    rows = []
+    body = []
     for pair in table.pairs:
         for template in table.templates:
             row_cells = [table.cells.get((pair, template, m))
                          for m in table.models]
-            if all(c is None for c in row_cells):
-                continue
-            rows.append((pair, template, row_cells))
-
-    header = ["pair", "template"] + table.models
-    if fmt == "tsv":
-        lines = ["\t".join(header)]
-        for pair, template, row_cells in rows:
-            lines.append("\t".join(
-                [pair, template] + [_cell_text(c, markup=False)
-                                    for c in row_cells]))
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = [f"**metric: {table.metric}** ({_LEGEND})", "",
-                 "| " + " | ".join(header) + " |",
-                 "|" + "|".join("---" for _ in header) + "|"]
-        for pair, template, row_cells in rows:
-            lines.append("| " + " | ".join(
-                [pair, template] + [_cell_text(c, markup=True)
-                                    for c in row_cells]) + " |")
-        return "\n".join(lines) + "\n"
-    if fmt != "plain":
-        raise ValueError(f"unknown table format {fmt!r}")
-
-    body = [[pair, template] + [_cell_text(c, markup=False)
-                                for c in row_cells]
-            for pair, template, row_cells in rows]
-    widths = [max(len(line[i]) for line in [header] + body)
-              for i in range(len(header))]
-    lines = [f"metric: {table.metric}    {_LEGEND}"]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for line in body:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(line, widths)))
-    return "\n".join(line.rstrip() for line in lines) + "\n"
+            if any(c is not None for c in row_cells):
+                body.append([pair, template] + [
+                    _cell_text(c, markup=fmt == "markdown") for c in row_cells])
+    return _layout(["pair", "template"] + table.models, body, fmt,
+                   (f"metric: {table.metric}", _LEGEND))
 
 
 def render_detailed_table(reports: list[CorrelationReport],
@@ -451,11 +467,9 @@ def render_detailed_table(reports: list[CorrelationReport],
     The exclusion count is flagged with * when more than 10% of a run's
     inferences were dropped, marking the row as untrustworthy.
     """
-    pairs = sorted({r.pair for r in reports}, key=_pair_sort_key)
-    template_order = [t.value for t in TemplateId]
-    templates = sorted({r.template for r in reports}, key=template_order.index)
-    models = sorted({r.model for r in reports})
+    pairs, templates, models = _axes(reports)
     by_key = {(r.pair, r.template, r.model): r for r in reports}
+    present = {(r.pair, r.template) for r in reports}
 
     header = ["pair", "template"]
     for model in models:
@@ -464,35 +478,20 @@ def render_detailed_table(reports: list[CorrelationReport],
     body = []
     for pair in pairs:
         for template in templates:
+            if (pair, template) not in present:
+                continue
             row = [pair, template]
-            any_cell = False
             for model in models:
                 r = by_key.get((pair, template, model))
                 if r is None:
                     row += ["—"] * 4
                     continue
-                any_cell = True
-                total = r.n_used + r.n_excluded
-                flagged = r.n_excluded > 0.10 * total
+                flagged = untrustworthy(r.n_excluded, r.n_used + r.n_excluded)
                 row += [f"{r.pearson_r:.3f}", f"{r.spearman_rho:.3f}",
                         f"{r.kendall_tau:.3f}",
                         f"{r.n_excluded}{'*' if flagged else ''}"]
-            if any_cell:
-                body.append(row)
-
-    if fmt == "tsv":
-        return "\n".join("\t".join(row) for row in [header] + body) + "\n"
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join("---" for _ in header) + "|"]
-        lines += ["| " + " | ".join(row) + " |" for row in body]
-        return "\n".join(lines) + "\n"
-    widths = [max(len(row[i]) for row in [header] + body)
-              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths))
-              for row in body]
-    return "\n".join(line.rstrip() for line in lines) + "\n"
+            body.append(row)
+    return _layout(header, body, fmt)
 
 
 # -- worst-deviation export ----------------------------------------------------

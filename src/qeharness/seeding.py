@@ -9,7 +9,7 @@ build, independent of iteration order elsewhere in the program.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -39,9 +39,3 @@ def seeded_sample(items: Sequence[T], k: int, seed: int, *context: object,
                   key=lambda item: item) -> list[T]:
     """Uniform sample of k items without replacement, deterministic in seed."""
     return seeded_order(items, seed, *context, key=key)[:k]
-
-
-def seeded_pick(items: Iterable[T], seed: int, *context: object,
-                key=lambda item: item) -> T:
-    """Single uniform pick: the item whose hashed rank is smallest."""
-    return min(items, key=lambda it: rank_key(seed, *context, key(it)))

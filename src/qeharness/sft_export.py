@@ -9,13 +9,11 @@ hyperparameters ride along as a provenance memo and are never executed.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, write_json, write_jsonl
 from .errors import EmptyTrainSplit
 from .prompts import PromptTemplate, TemplateId, render_zero_shot
 from .seeding import seeded_order
@@ -43,8 +41,6 @@ class SftConfig:
     mode: SftMode
     shuffle_seed: int = 0
     pair: str | None = None  # restrict ILT export to one pair
-    hyperparameter_memo: dict = field(
-        default_factory=lambda: dict(HYPERPARAMETER_MEMO))
 
 
 @dataclass(frozen=True)
@@ -74,14 +70,6 @@ def build_records(corpus: Corpus, template: PromptTemplate) -> list[SftRecord]:
                   "template_version": template.version},
         ))
     return records
-
-
-def _write_jsonl_atomic(dicts: list[dict], path: Path) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for d in dicts:
-            fh.write(json.dumps(d, sort_keys=True) + "\n")
-    os.replace(tmp, path)
 
 
 def _shuffled(records: list[SftRecord], seed: int) -> list[SftRecord]:
@@ -116,19 +104,19 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     counts = {pair: len(records) for pair, records in per_pair.items()}
     files: dict[str, str] = {}
 
-    def lines(records: list[SftRecord]) -> list[dict]:
+    def lines(records: list[SftRecord]):
         dicts = (r.to_dict() for r in _shuffled(records, config.shuffle_seed))
-        return [record_adapter(d) if record_adapter else d for d in dicts]
+        return (record_adapter(d) if record_adapter else d for d in dicts)
 
     if config.mode is SftMode.UMT:
         pooled = [rec for records in per_pair.values() for rec in records]
         name = "sft_umt.jsonl"
-        _write_jsonl_atomic(lines(pooled), out_dir / name)
+        write_jsonl(out_dir / name, lines(pooled))
         files["umt"] = name
     else:
         for pair, records in sorted(per_pair.items()):
             name = f"sft_ilt_{pair}.jsonl"
-            _write_jsonl_atomic(lines(records), out_dir / name)
+            write_jsonl(out_dir / name, lines(records))
             files[pair] = name
 
     manifest = {
@@ -138,8 +126,7 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
         "counts": dict(sorted(counts.items())),
         "total_records": sum(counts.values()),
         "files": files,
-        "hyperparameter_memo": config.hyperparameter_memo,
+        "hyperparameter_memo": dict(HYPERPARAMETER_MEMO),
     }
-    (out_dir / "sft_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out_dir / "sft_manifest.json", manifest)
     return manifest

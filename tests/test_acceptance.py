@@ -18,7 +18,7 @@ from qeharness.corpus import Corpus, LangPair, ScoreBin, SCORE_BINS, Split
 from qeharness.extraction import extract_batch, extract_score
 from qeharness.fertility import load_tokenizer, measure, sample_sentences, summarize
 from qeharness.gateway import (EchoScore, Fail, Garbage, InferenceConfig,
-                               complete_batch, gold_map, mock_backend)
+                               complete_batch, gold_map, MockBackend)
 from qeharness.metrics import PairedSample, evaluate, kendall, spearman
 from qeharness.pipeline import RunManifest, render_table, run
 from qeharness.prompts import (IclConfig, TemplateId, load_templates,
@@ -85,7 +85,7 @@ def test_criterion_02_t_cdf_vs_quadrature():
 def _run_mock(policy, corpus, template_id=TemplateId.AG, seed=0):
     prompts = [render_zero_shot(TEMPLATES[template_id], seg, seed)
                for seg in corpus.test]
-    backend = mock_backend(policy, gold=gold_map(corpus.test), seed=seed)
+    backend = MockBackend(policy, gold=gold_map(corpus.test), seed=seed)
     cfg = InferenceConfig(model_name="mock", max_context_tokens=10**6,
                           retry_backoff_base=0.0)
     outputs = complete_batch(cfg, prompts, backend)

@@ -142,6 +142,36 @@ def test_extract_subcommand(tmp_path, capsys):
     assert ledger["flagged_untrustworthy"] is True
 
 
+def test_extract_torn_line_is_typed_error(tmp_path, capsys):
+    ref = PromptRef("en-gu", 1, "ag", 0)
+    row = json.dumps(ModelOutput(ref, "Score: 5", 0.0, 1, TRANSPORT_OK).to_dict())
+    outputs_path = tmp_path / "outputs.jsonl"
+    outputs_path.write_text(row + "\n" + row[:20] + "\n", encoding="utf-8")
+    assert main(["extract", "--outputs", str(outputs_path)]) == 1
+    assert "error[RowParseError]: row 2:" in capsys.readouterr().err
+
+
+def test_extract_missing_outputs_is_typed_error(tmp_path, capsys):
+    assert main(["extract", "--outputs", str(tmp_path / "absent.jsonl")]) == 1
+    assert "error[FileUnreadable]" in capsys.readouterr().err
+
+
+def test_mock_flag_and_manifest_garbage_agree(tmp_path, corpora_manifest,
+                                              capsys):
+    # `--mock garbage` and a manifest mock of {"policy": "garbage"} share
+    # one default drop rate, so both runs persist the same summary
+    summaries = []
+    for name, extra, flags in (("flag", {}, ["--mock", "garbage"]),
+                               ("manifest", {"mock": {"policy": "garbage"}},
+                                [])):
+        manifest = _run_manifest_file(tmp_path, corpora_manifest,
+                                      out_dir=str(tmp_path / name), **extra)
+        assert main(["run", "--manifest", str(manifest)] + flags) == 0
+        summaries.append((tmp_path / name / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["ledgers"][0]["excluded_count"] > 0
+
+
 def test_score_subcommand_with_dump_worst(tmp_path, corpora_manifest, capsys):
     manifest = _run_manifest_file(tmp_path, corpora_manifest)
     main(["run", "--manifest", str(manifest), "--mock", "echo-score:5"])

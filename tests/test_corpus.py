@@ -7,6 +7,7 @@ from qeharness.corpus import (ColumnMap, LangPair, LoadDiagnostic, ScoreBin,
                               SCORE_BINS, Segment, Split, bin_of, histogram,
                               load_corpora, load_corpus, split_size_warnings,
                               write_corpus_tsv)
+from qeharness.corpus import read_jsonl, write_jsonl
 from qeharness.errors import (FileUnreadable, MissingColumn, RowParseError,
                               ScoreOutOfRange)
 
@@ -219,3 +220,36 @@ def test_split_size_warnings_advisory():
     assert "expected 26000" in warnings[0]
     unknown = synthetic_corpus("fr-de", n_train=3, n_test=3)
     assert split_size_warnings(unknown) == []
+
+
+# -- JSONL -----------------------------------------------------------------------
+
+def test_jsonl_round_trip_lands_without_temp_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"b": 1, "a": "x"}, {"a": [1, 2]}]
+    write_jsonl(path, iter(rows))
+    assert path.read_text(encoding="utf-8") == (
+        '{"a": "x", "b": 1}\n{"a": [1, 2]}\n')
+    assert list(read_jsonl(path)) == rows
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+def test_read_jsonl_skips_blank_lines(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"a": 2}', encoding="utf-8")
+    assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]
+
+
+@pytest.mark.parametrize("text,row", [('{"a": 1}\n{"a": ', 2),
+                                      ('{"a": 1}\n\n[1, 2]\n', 3)])
+def test_read_jsonl_bad_line_is_typed(tmp_path, text, row):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RowParseError) as err:
+        list(read_jsonl(path))
+    assert err.value.row == row
+
+
+def test_read_jsonl_missing_file_is_typed(tmp_path):
+    with pytest.raises(FileUnreadable):
+        list(read_jsonl(tmp_path / "absent.jsonl"))

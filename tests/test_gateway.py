@@ -15,7 +15,7 @@ from qeharness.gateway import (API_KEY_ENV_VAR, EchoScore, Fail,
                                Fixed, Garbage, HttpBackend, InferenceConfig,
                                ModelOutput, PromptRef, TRANSPORT_OK, complete,
                                complete_batch, estimate_tokens, gold_map,
-                               mock_backend)
+                               MockBackend)
 from qeharness.prompts import TemplateId, load_templates, render_zero_shot
 
 from conftest import synthetic_segments
@@ -75,7 +75,7 @@ def test_token_estimate_via_subword_tokenizer(tmp_path):
 
 def test_mock_echo_score_identity():
     segments, prompts = _prompts(5)
-    backend = mock_backend(EchoScore(), gold=gold_map(segments))
+    backend = MockBackend(EchoScore(), gold=gold_map(segments))
     cfg = _mock_config()
     outputs = complete_batch(cfg, prompts, backend)
     for seg, out in zip(segments, outputs):
@@ -89,21 +89,21 @@ def test_mock_echo_score_spec_example():
     pair = LangPair("en", "gu")
     seg = Segment(1, "hello", "namaste", 64.0, pair, Split.TEST)
     prompt = render_zero_shot(TEMPLATES[TemplateId.GEMBA], seg)
-    backend = mock_backend(EchoScore(), gold=gold_map([seg]))
+    backend = MockBackend(EchoScore(), gold=gold_map([seg]))
     out = complete(_mock_config(), prompt, backend)
     assert out.raw_text == "Score: 64.0"
 
 
 def test_mock_fixed_text():
     segments, prompts = _prompts(4)
-    backend = mock_backend(Fixed("fifty"))
+    backend = MockBackend(Fixed("fifty"))
     outputs = complete_batch(_mock_config(), prompts, backend)
     assert all(o.raw_text == "fifty" for o in outputs)
 
 
 def test_mock_garbage_full_probability_has_no_parseable_score():
     segments, prompts = _prompts(50)
-    backend = mock_backend(Garbage(1.0), gold=gold_map(segments), seed=3)
+    backend = MockBackend(Garbage(1.0), gold=gold_map(segments), seed=3)
     outputs = complete_batch(_mock_config(), prompts, backend)
     results, ledger = extract_batch(outputs)
     assert ledger.excluded_count == 50
@@ -112,7 +112,7 @@ def test_mock_garbage_full_probability_has_no_parseable_score():
 
 def test_mock_garbage_partial_echoes_rest():
     segments, prompts = _prompts(200)
-    backend = mock_backend(Garbage(0.2), gold=gold_map(segments), seed=3)
+    backend = MockBackend(Garbage(0.2), gold=gold_map(segments), seed=3)
     outputs = complete_batch(_mock_config(), prompts, backend)
     scored = [o for o in outputs if o.raw_text.startswith("Score: ")]
     garbage = [o for o in outputs if not o.raw_text.startswith("Score: ")]
@@ -124,7 +124,7 @@ def test_mock_garbage_partial_echoes_rest():
 
 def test_mock_idempotent_across_batches():
     segments, prompts = _prompts(30)
-    backend = mock_backend(Garbage(0.5), gold=gold_map(segments), seed=9)
+    backend = MockBackend(Garbage(0.5), gold=gold_map(segments), seed=9)
     cfg = _mock_config()
     first = [o.raw_text for o in complete_batch(cfg, prompts, backend)]
     second = [o.raw_text for o in complete_batch(cfg, prompts, backend)]
@@ -134,8 +134,8 @@ def test_mock_idempotent_across_batches():
 def test_mock_fail_targets_one_segment():
     segments, prompts = _prompts(8)
     target = segments[4].id
-    backend = mock_backend(Fail(segment_ids=frozenset({target})),
-                           gold=gold_map(segments))
+    backend = MockBackend(Fail(segment_ids=frozenset({target})),
+                          gold=gold_map(segments))
     outputs = complete_batch(_mock_config(), prompts, backend)
     statuses = [o.transport_status for o in outputs]
     assert statuses.count(TRANSPORT_OK) == 7
@@ -147,7 +147,7 @@ def test_mock_fail_targets_one_segment():
 
 def test_batch_preserves_order_and_cardinality():
     segments, prompts = _prompts(1000)
-    backend = mock_backend(EchoScore(), gold=gold_map(segments))
+    backend = MockBackend(EchoScore(), gold=gold_map(segments))
     outputs = complete_batch(_mock_config(max_in_flight=8), prompts, backend)
     assert len(outputs) == len(prompts)
     assert [o.prompt_ref.segment_id for o in outputs] == \
@@ -155,20 +155,20 @@ def test_batch_preserves_order_and_cardinality():
 
 
 def test_batch_empty_input():
-    assert complete_batch(_mock_config(), [], mock_backend(Fixed("x"))) == []
+    assert complete_batch(_mock_config(), [], MockBackend(Fixed("x"))) == []
 
 
 def test_batch_concurrency_bound_observed():
     segments, prompts = _prompts(40)
-    backend = mock_backend(EchoScore(), gold=gold_map(segments),
-                           latency=0.005)
+    backend = MockBackend(EchoScore(), gold=gold_map(segments),
+                          latency=0.005)
     complete_batch(_mock_config(max_in_flight=4), prompts, backend)
     assert 1 <= backend.max_observed_in_flight <= 4
 
 
 def test_context_overflow_short_circuits():
     segments, prompts = _prompts(1)
-    backend = mock_backend(EchoScore(), gold=gold_map(segments))
+    backend = MockBackend(EchoScore(), gold=gold_map(segments))
     cfg = _mock_config(max_context_tokens=10)  # every prompt is longer
     out = complete(cfg, prompts[0], backend)
     assert out.transport_status == FAIL_CONTEXT_OVERFLOW

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from qeharness.errors import (EndpointMissing, ManifestError, TemplateMissing)
+from qeharness.errors import (EndpointMissing, HarnessError, ManifestError,
+                              TemplateMissing)
 from qeharness.extraction import ExtractionResult
 from qeharness.gateway import EchoScore, Fixed, Garbage, Fail, PromptRef
 from qeharness.metrics import CorrelationReport, Significance, significance_of
@@ -73,6 +74,18 @@ def test_mock_policy_parsing():
     assert fail.segment_ids == frozenset({3, 5})
     with pytest.raises(ManifestError):
         build_mock_policy({"policy": "wat"})
+
+
+def test_mock_arg_and_manifest_share_defaults():
+    from qeharness.pipeline import parse_mock_arg
+    for kind in ("echo-score", "fixed", "garbage", "fail"):
+        assert (build_mock_policy(parse_mock_arg(kind))
+                == build_mock_policy({"policy": kind}))
+    assert build_mock_policy({"policy": "garbage"}) == Garbage(0.1)
+    assert parse_mock_arg("fail:3,5") == {"policy": "fail",
+                                          "segment_ids": [3, 5]}
+    with pytest.raises(ManifestError):
+        parse_mock_arg("wat:1")
 
 
 # -- run ---------------------------------------------------------------------------
@@ -165,6 +178,17 @@ def test_run_garbage_mock_fills_ledger(tmp_path):
     assert report.spearman_rho == pytest.approx(1.0, abs=1e-12)
     ledger = result.ledgers[0]
     assert ledger.excluded_count == report.n_excluded
+
+
+def test_resume_over_torn_outputs_line_is_typed(tmp_path):
+    manifest = _run_manifest(tmp_path)
+    run(manifest)
+    outputs = next((Path(manifest.out_dir) / "outputs").glob("*.jsonl"))
+    with outputs.open("a", encoding="utf-8") as fh:
+        fh.write('{"prompt_ref": {"pair": "en-gu", "segm')
+    resumed = RunManifest.from_dict({**manifest.to_dict(), "resume": True})
+    with pytest.raises(HarnessError):
+        run(resumed)
 
 
 def test_run_fail_fast_on_missing_templates(tmp_path):
@@ -310,6 +334,11 @@ def test_detailed_table_has_all_coefficients_and_exclusions():
     assert lines[1] == "en-ta\tgemba\t0.350\t0.220\t0.180\t6"
     # 14 excluded of 100 total is over the tolerated drop share
     assert lines[2] == "en-ta\tte\t0.010\t0.020\t0.010\t14*"
+
+
+def test_detailed_table_rejects_unknown_format():
+    with pytest.raises(ValueError):
+        render_detailed_table(SYNTH_REPORTS, fmt="bogus")
 
 
 # -- worst deviations ---------------------------------------------------------------

@@ -18,8 +18,8 @@ from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
 from .gateway import ModelOutput
 from .metrics import CorrelationReport, evaluate
 from .pipeline import (RunManifest, parse_mock_arg, render_detailed_table,
-                       render_prompts, render_table, run, select_pairs,
-                       worst_deviations, write_worst_tsv)
+                       render_prompts, render_table, run, worst_deviations,
+                       write_worst_tsv)
 from .prompts import TemplateId, load_templates
 from .sft_export import SftConfig, SftMode, export
 
@@ -133,7 +133,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_render(args) -> int:
-    corpora = select_pairs(load_corpora(_require_manifest(args)), args.pairs)
+    corpora = load_corpora(_require_manifest(args), pairs=args.pairs)
     template = load_templates(args.template_dir)[TemplateId(args.template)]
     dicts = [p.to_dict() for corpus in corpora
              for p in render_prompts(corpus, template, args.seed or 0)]
@@ -190,8 +190,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_score(args) -> int:
-    corpora = load_corpora(_require_manifest(args))
-    matching = select_pairs(corpora, [args.pair])
+    matching = load_corpora(_require_manifest(args), pairs=[args.pair])
     if not matching:
         raise ManifestError(f"pair {args.pair} not in the corpus manifest")
     corpus = matching[0]

@@ -102,13 +102,13 @@ class ScoreBin(Enum):
         self.label = label
         self.lo = lo
         self.hi = hi
-
-    @property
-    def index(self) -> int:
-        return list(ScoreBin).index(self)
+        self.index = -1  # position in SCORE_BINS, set below
 
 
 SCORE_BINS: tuple[ScoreBin, ...] = tuple(ScoreBin)
+for _position, _bin in enumerate(SCORE_BINS):
+    _bin.index = _position
+del _position, _bin
 
 
 def bin_of(score: float) -> ScoreBin:
@@ -235,14 +235,19 @@ def write_corpus_tsv(segments: list[Segment] | tuple[Segment, ...],
 
 # -- JSON I/O ----------------------------------------------------------------
 
+# the encoder json.dumps(d, sort_keys=True) builds on every call
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
     """Stream one sorted-key JSON object per line to a temp file, then move
     it into place, so the file at path is never seen half written."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    encode = _LINE_ENCODER.encode
     with tmp.open("w", encoding="utf-8") as fh:
         for d in dicts:
-            fh.write(json.dumps(d, sort_keys=True) + "\n")
+            fh.write(encode(d) + "\n")
     os.replace(tmp, path)
 
 
@@ -305,9 +310,16 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
 
 
 def load_corpora(manifest_path: str | Path, *, strict: bool = False,
-                 diagnostics: list[LoadDiagnostic] | None = None) -> list[Corpus]:
+                 diagnostics: list[LoadDiagnostic] | None = None,
+                 pairs: Iterable[str] | None = None) -> list[Corpus]:
+    """Load every manifest entry's splits, in manifest order. With pairs
+    given, only the listed pairs' entries are read; the other TSVs are
+    never opened."""
+    wanted = set(pairs) if pairs else None
     corpora = []
     for entry in load_corpus_manifest(manifest_path):
+        if wanted is not None and str(entry.pair) not in wanted:
+            continue
         train = load_corpus(entry.train_path, entry.pair, Split.TRAIN,
                             entry.column_map, strict=strict, diagnostics=diagnostics)
         test = load_corpus(entry.test_path, entry.pair, Split.TEST,

@@ -150,6 +150,7 @@ class HttpBackend:
     """
 
     deterministic = False
+    waits = True  # every call waits on the network
 
     def __init__(self, config: InferenceConfig):
         if not config.endpoint_url:
@@ -248,7 +249,8 @@ class MockBackend:
 
     Fully determined by (policy, gold map, seed); reports zero latency so
     persisted runs against it are byte-identical. An optional artificial
-    latency (used by concurrency tests) does not affect outputs. The
+    latency (used by concurrency tests) does not affect outputs; without
+    it the backend never waits, so complete_batch calls it inline. The
     instrumented in-flight counter records the high-water mark of
     simultaneous generate calls.
     """
@@ -265,6 +267,11 @@ class MockBackend:
         self.max_observed_in_flight = 0
         self._in_flight = 0
         self._lock = threading.Lock()
+
+    @property
+    def waits(self) -> bool:
+        """Whether a call sleeps: only with an artificial latency."""
+        return self.latency > 0
 
     def _gold_of(self, prompt: RenderedPrompt) -> float:
         key = (prompt.pair, prompt.target_segment_id)
@@ -355,10 +362,19 @@ def complete_batch(config: InferenceConfig, prompts: list[RenderedPrompt],
 
     Output order matches input order and every prompt yields exactly one
     output; per-item failures never abort the batch.
+
+    Dispatch runs inline, one prompt after another on the calling thread,
+    when the backend states that its calls never wait (`waits` is false, as
+    for a MockBackend without latency): under the interpreter lock, threads
+    cannot overlap work that never waits, so a pool would only add its own
+    overhead. A backend that waits, or does not say, gets a pool of
+    max_in_flight threads.
     """
     if not prompts:
         return []
     if backend is None:
         backend = HttpBackend(config)
+    if not getattr(backend, "waits", True):
+        return [complete(config, p, backend) for p in prompts]
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
         return list(pool.map(lambda p: complete(config, p, backend), prompts))

@@ -29,7 +29,7 @@ from .prompts import (ICL_TEMPLATES, IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
 
 __all__ = [
     "ERROR_TAXONOMY", "RunManifest", "RunResult", "run", "build_mock_policy",
-    "parse_mock_arg", "select_pairs", "render_prompts",
+    "parse_mock_arg", "render_prompts",
     "ResultTable", "TableCell", "build_result_table", "render_table",
     "render_detailed_table", "worst_deviations", "write_worst_tsv",
     "PAIR_ORDER",
@@ -148,14 +148,6 @@ def parse_mock_arg(text: str) -> dict:
     return {"policy": kind, name: parse(rest)} if rest else {"policy": kind}
 
 
-def select_pairs(corpora: list[Corpus], pairs) -> list[Corpus]:
-    """The corpora whose pair is listed, in corpus order; all if none is."""
-    if not pairs:
-        return list(corpora)
-    wanted = set(pairs)
-    return [c for c in corpora if str(c.pair) in wanted]
-
-
 def render_prompts(corpus: Corpus, template, seed: int,
                    icl_seed: int | None = None) -> list:
     """One prompt per test segment. ICL templates draw their exemplars from
@@ -193,8 +185,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     templates = load_templates(manifest.template_dir)
-    corpora = select_pairs(load_corpora(manifest.corpora_manifest),
-                           manifest.pairs)
+    corpora = load_corpora(manifest.corpora_manifest, pairs=manifest.pairs)
 
     base_cfg = InferenceConfig(**manifest.inference)
     if backend is None:
@@ -273,12 +264,14 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
 
     todo = [p for p in prompts if p.target_segment_id not in persisted]
     fresh = complete_batch(cfg, todo, backend)
+    # a prompt refused before sending (context overflow) made no attempt
+    dispatched = sum(1 for o in fresh if o.attempt_count > 0)
     by_segment = dict(persisted)
     for output in fresh:
         by_segment[output.prompt_ref.segment_id] = output
     outputs = [by_segment[p.target_segment_id] for p in prompts]
     write_jsonl(outputs_path, (o.to_dict() for o in outputs))
-    log(f"{pair}/{tid.value}: {len(todo)} dispatched, "
+    log(f"{pair}/{tid.value}: {dispatched} dispatched, "
         f"{len(persisted)} resumed")
 
     results, ledger = extract_batch(outputs, model=cfg.model_name)
@@ -296,7 +289,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
         doc = {"report": None, "ledger": ledger.to_dict(), "error": error}
         log(f"{pair}/{tid.value}: evaluation failed: {error}")
     write_json(report_path, doc)
-    return len(todo), report, ledger, error
+    return dispatched, report, ledger, error
 
 
 def _safe(name: str) -> str:

@@ -8,6 +8,7 @@ produces byte-identical prompts.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -183,11 +184,32 @@ class RenderedPrompt:
         }
 
 
-def _substitute(body: str, values: dict[str, str]) -> str:
-    text = body
-    for name, value in values.items():
-        text = text.replace("{%s}" % name, value, 1)
-    for name in values:
+# an ICL prompt's fill order; a value may hold a later placeholder's name
+_ICL_FILL_ORDER = ("source_lang", "target_lang", "examples", "source_text",
+                   "translation_text")
+
+
+@functools.lru_cache(maxsize=16)
+def _fill_combo(body: str, source_lang: str, target_lang: str,
+                examples: str | None) -> str:
+    """body with the placeholders one combo shares filled: the language
+    names and, for an ICL template, the exemplar block."""
+    text = body.replace("{source_lang}", source_lang, 1)
+    text = text.replace("{target_lang}", target_lang, 1)
+    if examples is not None:
+        text = text.replace("{examples}", examples, 1)
+    return text
+
+
+def _substitute(body: str, segment: Segment,
+                examples: str | None = None) -> str:
+    """Fill each placeholder once, in _ICL_FILL_ORDER (without examples for
+    a zero-shot prompt), then check that none survived in the final text."""
+    text = _fill_combo(body, language_name(segment.pair.source_lang),
+                       language_name(segment.pair.target_lang), examples)
+    text = text.replace("{source_text}", segment.source, 1)
+    text = text.replace("{translation_text}", segment.translation, 1)
+    for name in _TARGET_PLACEHOLDERS if examples is None else _ICL_FILL_ORDER:
         if "{%s}" % name in text:
             raise PlaceholderUnresolved(
                 f"placeholder {{{name}}} survived substitution")
@@ -199,12 +221,7 @@ def render_zero_shot(template: PromptTemplate, segment: Segment,
     """Materialize a zero-shot prompt for one segment."""
     if template.id not in ZERO_SHOT_TEMPLATES:
         raise ValueError(f"{template.id.value} is not a zero-shot template")
-    text = _substitute(template.body, {
-        "source_lang": language_name(segment.pair.source_lang),
-        "target_lang": language_name(segment.pair.target_lang),
-        "source_text": segment.source,
-        "translation_text": segment.translation,
-    })
+    text = _substitute(template.body, segment)
     return RenderedPrompt(template=template.id, text=text, exemplars=(),
                           target_segment_id=segment.id,
                           pair=str(segment.pair), seed=seed)
@@ -236,24 +253,31 @@ def select_icl_exemplars(train: list[Segment] | tuple[Segment, ...],
                 f"segment {seg.id} is from the {seg.split.value} split")
 
     pair = str(train[0].pair)
-    by_bin: dict[ScoreBin, list[Segment]] = {b: [] for b in SCORE_BINS}
+    # bin -> its segments by id, first occurrence of an id wins
+    by_bin: dict[ScoreBin, dict[int, Segment]] = {b: {} for b in SCORE_BINS}
     for seg in train:
-        by_bin[bin_of(seg.da_mean)].append(seg)
+        by_bin[bin_of(seg.da_mean)].setdefault(seg.id, seg)
 
     used: set[int] = set()
 
+    def best_unused(label: str, source: ScoreBin) -> Segment | None:
+        members = by_bin[source]
+        for seg_id in _ranked_ids(seed, pair, label, tuple(members)):
+            if seg_id not in used:
+                return members[seg_id]
+        return None
+
     def pick(target: ScoreBin) -> IclExemplar:
-        candidates = [s for s in by_bin[target] if s.id not in used]
         actual = target
-        if not candidates:
+        chosen = best_unused(target.label, target)
+        if chosen is None:
             if not fallback:
                 raise EmptyBin(target.label)
             actual = _nearest_populated(by_bin, target, used)
-            candidates = [s for s in by_bin[actual] if s.id not in used]
             log.warning("bin %s has no unused exemplar for %s; substituting "
                         "from %s", target.label, pair, actual.label)
-        chosen = min(candidates,
-                     key=lambda s: rank_key(seed, pair, target.label, s.id))
+            # a substitute is still ranked under the bin it stands in for
+            chosen = best_unused(target.label, actual)
         used.add(chosen.id)
         return IclExemplar(chosen, actual)
 
@@ -265,24 +289,61 @@ def select_icl_exemplars(train: list[Segment] | tuple[Segment, ...],
         exemplars.append(pick(populated[0]))    # extra from lowest range
         exemplars.append(pick(populated[-1]))   # extra from highest range
 
-    exemplars.sort(key=lambda e: (e.bin.index, e.segment.da_mean,
-                                  e.segment.id))
+    exemplars.sort(key=_exemplar_order)
     return exemplars
 
 
-def _nearest_populated(by_bin: dict[ScoreBin, list[Segment]],
+@functools.lru_cache(maxsize=64)
+def _ranked_ids(seed: int, pair: str, label: str,
+                ids: tuple[int, ...]) -> tuple[int, ...]:
+    """ids best rank first under the (seed, pair, bin label) hash.
+
+    The three ICL templates of a pair draw from the same bins, so each bin
+    is hashed once per (seed, pair) rather than once per pick. The key holds
+    ids, not segments, which are costly to hash.
+    """
+    return tuple(sorted(ids, key=lambda i: rank_key(seed, pair, label, i)))
+
+
+def _nearest_populated(by_bin: dict[ScoreBin, dict[int, Segment]],
                        target: ScoreBin, used: set[int]) -> ScoreBin:
     candidates = [b for b in SCORE_BINS
-                  if any(s.id not in used for s in by_bin[b])]
+                  if any(i not in used for i in by_bin[b])]
     if not candidates:
         raise EmptyBin(target.label)
     # closest bin wins; ties resolve toward the lower range
     return min(candidates, key=lambda b: (abs(b.index - target.index), b.index))
 
 
+def _exemplar_order(e: IclExemplar):
+    return (e.bin.index, e.segment.da_mean, e.segment.id)
+
+
 _EXEMPLAR_BLOCK = ('Source text: "{source}"\n'
                    'Translation: "{translation}"\n'
                    "Score: {score:.1f}")
+
+
+# (exemplars, sorted, block) of the last call. A combo renders every test
+# segment with one exemplar list, so its block is built once; equal
+# exemplars make the same block, so a match is sound whoever built the list.
+_last_block: tuple = ((), (), "")
+
+
+def _exemplar_block(exemplars) -> tuple[tuple[IclExemplar, ...], str]:
+    """The exemplars in bin-ascending order, and their rendered block."""
+    global _last_block
+    key = tuple(exemplars)
+    last, ordered, block = _last_block
+    if key != last:
+        ordered = tuple(sorted(key, key=_exemplar_order))
+        block = "\n\n".join(
+            _EXEMPLAR_BLOCK.format(source=e.segment.source,
+                                   translation=e.segment.translation,
+                                   score=e.segment.da_mean)
+            for e in ordered)
+        _last_block = (key, ordered, block)
+    return ordered, block
 
 
 def render_icl(template: PromptTemplate, exemplars: list[IclExemplar],
@@ -300,23 +361,9 @@ def render_icl(template: PromptTemplate, exemplars: list[IclExemplar],
             f"{template.id.value} needs {expected} exemplars, "
             f"got {len(exemplars)}")
 
-    ordered = sorted(exemplars, key=lambda e: (e.bin.index,
-                                               e.segment.da_mean,
-                                               e.segment.id))
-    block = "\n\n".join(
-        _EXEMPLAR_BLOCK.format(source=e.segment.source,
-                               translation=e.segment.translation,
-                               score=e.segment.da_mean)
-        for e in ordered)
-
-    text = _substitute(template.body, {
-        "source_lang": language_name(segment.pair.source_lang),
-        "target_lang": language_name(segment.pair.target_lang),
-        "examples": block,
-        "source_text": segment.source,
-        "translation_text": segment.translation,
-    })
+    ordered, block = _exemplar_block(exemplars)
+    text = _substitute(template.body, segment, block)
     return RenderedPrompt(template=template.id, text=text,
-                          exemplars=tuple(ordered),
+                          exemplars=ordered,
                           target_segment_id=segment.id,
                           pair=str(segment.pair), seed=seed)

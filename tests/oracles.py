@@ -2,12 +2,14 @@
 
 These deliberately share no code with the implementations they check:
 exactly-rounded fsum for moments, quadratic pair enumeration for tau, a
-from-scratch ranking for Spearman, and Simpson quadrature of the Student t
-density for p-values.
+from-scratch ranking for Spearman, Simpson quadrature of the Student t
+density for p-values, and a per-pick re-hashing copy of the ICL exemplar
+selection.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 
@@ -76,3 +78,67 @@ def t_two_tailed_p_quadrature(t: float, df: int, points: int = 10001) -> float:
     for k in range(1, points - 1):
         acc += t_density(a + k * h, df) * (4 if k % 2 else 2)
     return 1.0 - 2.0 * (acc * h / 3.0)
+
+
+# -- ICL exemplar selection --------------------------------------------------
+
+_ORACLE_BINS = (("0-30", 30.0), ("31-50", 50.0), ("51-70", 70.0),
+                ("71-90", 90.0), ("91-100", 100.0))
+
+
+class OracleEmptyBin(Exception):
+    def __init__(self, label: str):
+        super().__init__(label)
+        self.label = label
+
+
+def icl_selection_oracle(train, pair: str, count: int, seed: int,
+                         fallback: bool = True):
+    """Reference ICL selection: every pick takes the minimum SHA-256 rank
+    over the unused members of its bin, hashing them afresh.
+
+    train is a list of (segment id, DA mean). Returns the picks as
+    (segment id, bin label) in prompt order, plus (target label, substitute
+    label) for every fallback substitution; raises OracleEmptyBin when a
+    bin cannot be filled.
+    """
+    labels = [label for label, _ in _ORACLE_BINS]
+
+    def bin_index(score: float) -> int:
+        return next(i for i, (_, upper) in enumerate(_ORACLE_BINS)
+                    if score <= upper)
+
+    def rank(label: str, seg_id: int) -> int:
+        payload = "\0".join(str(p) for p in (seed, pair, label, seg_id))
+        return int.from_bytes(hashlib.sha256(payload.encode()).digest(), "big")
+
+    by_bin = [[] for _ in labels]
+    for seg_id, score in train:
+        by_bin[bin_index(score)].append((seg_id, score))
+    used: set[int] = set()
+    substitutions = []
+
+    def pick(target: int):
+        candidates = [s for s in by_bin[target] if s[0] not in used]
+        actual = target
+        if not candidates:
+            if not fallback:
+                raise OracleEmptyBin(labels[target])
+            open_bins = [b for b in range(len(labels))
+                         if any(s[0] not in used for s in by_bin[b])]
+            if not open_bins:
+                raise OracleEmptyBin(labels[target])
+            actual = min(open_bins, key=lambda b: (abs(b - target), b))
+            candidates = [s for s in by_bin[actual] if s[0] not in used]
+            substitutions.append((labels[target], labels[actual]))
+        chosen = min(candidates, key=lambda s: rank(labels[target], s[0]))
+        used.add(chosen[0])
+        return actual, chosen
+
+    picks = [pick(b) for b in ((0, 3, 4) if count == 3 else range(5))]
+    if count == 7:
+        populated = [b for b in range(5) if by_bin[b]]
+        picks.append(pick(populated[0]))
+        picks.append(pick(populated[-1]))
+    picks.sort(key=lambda p: (p[0], p[1][1], p[1][0]))
+    return [(seg_id, labels[b]) for b, (seg_id, _) in picks], substitutions

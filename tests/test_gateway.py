@@ -166,6 +166,30 @@ def test_batch_concurrency_bound_observed():
     assert 1 <= backend.max_observed_in_flight <= 4
 
 
+def test_zero_latency_mock_dispatches_on_calling_thread():
+    segments, prompts = _prompts(20)
+    backend = MockBackend(EchoScore(), gold=gold_map(segments))
+    threads = set()
+    generate = backend.generate_once
+
+    def recorded(prompt):
+        threads.add(threading.get_ident())
+        return generate(prompt)
+
+    backend.generate_once = recorded
+    outputs = complete_batch(_mock_config(max_in_flight=4), prompts, backend)
+    assert threads == {threading.get_ident()}
+    assert [o.transport_status for o in outputs] == [TRANSPORT_OK] * 20
+
+
+def test_waiting_mock_dispatches_on_pool():
+    segments, prompts = _prompts(40)
+    backend = MockBackend(EchoScore(), gold=gold_map(segments),
+                          latency=0.005)
+    complete_batch(_mock_config(max_in_flight=4), prompts, backend)
+    assert backend.max_observed_in_flight > 1
+
+
 def test_context_overflow_short_circuits():
     segments, prompts = _prompts(1)
     backend = MockBackend(EchoScore(), gold=gold_map(segments))

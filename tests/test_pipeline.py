@@ -8,7 +8,8 @@ import pytest
 from qeharness.errors import (EndpointMissing, HarnessError, ManifestError,
                               TemplateMissing)
 from qeharness.extraction import ExtractionResult
-from qeharness.gateway import EchoScore, Fixed, Garbage, Fail, PromptRef
+from qeharness.gateway import (EchoScore, Fixed, Garbage, Fail, MockBackend,
+                               PromptRef, gold_map)
 from qeharness.metrics import CorrelationReport, Significance, significance_of
 from qeharness.pipeline import (ERROR_TAXONOMY, RunManifest, build_mock_policy,
                                 build_result_table, render_detailed_table,
@@ -155,6 +156,32 @@ def test_run_pairs_filter(tmp_path):
     result = run(manifest)
     assert [r.pair for r in result.reports] == ["si-en"]
     assert result.inference_calls == 10
+
+
+def test_run_reads_only_selected_pairs(tmp_path):
+    manifest = _run_manifest(tmp_path, {"en-gu": (40, 10), "si-en": (40, 10)},
+                             pairs=["si-en"])
+    for split in ("train", "test"):
+        (tmp_path / "data" / f"en-gu.{split}.tsv").unlink()
+    result = run(manifest)
+    assert [r.pair for r in result.reports] == ["si-en"]
+    assert result.inference_calls == 10
+
+
+def test_context_overflow_is_not_counted_as_dispatched(tmp_path):
+    manifest = _run_manifest(tmp_path, {"en-gu": (40, 10)}, inference={
+        "model_name": "mock-model", "max_context_tokens": 10})
+    test = synthetic_corpus("en-gu", n_train=40, n_test=10).test
+    backend = MockBackend(EchoScore(), gold=gold_map(test))
+    result = run(manifest, backend=backend)
+    assert backend.calls == 0
+    assert result.inference_calls == 0
+    out = Path(manifest.out_dir)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["inference_calls"] == 0
+    log = (out / "log.txt").read_text()
+    assert "en-gu/ag: 0 dispatched, 0 resumed" in log
+    assert "run end: 0 prompts dispatched" in log
 
 
 def test_run_icl_template_uses_train_exemplars(tmp_path):

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qeharness import prompts, seeding
 from qeharness.corpus import LangPair, ScoreBin, SCORE_BINS, Segment, Split
 from qeharness.errors import (EmptyBin, ExemplarCountMismatch, ExemplarLeakage,
                               PlaceholderUnresolved, TemplateInvalid,
                               TemplateMissing)
-from qeharness.prompts import (IclConfig, IclExemplar, PromptTemplate,
-                               TemplateId, language_name, load_templates,
-                               render_icl, render_zero_shot,
+from qeharness.pipeline import render_prompts
+from qeharness.prompts import (ICL_TEMPLATES, IclConfig, IclExemplar,
+                               PromptTemplate, TemplateId, language_name,
+                               load_templates, render_icl, render_zero_shot,
                                select_icl_exemplars)
 
-from conftest import synthetic_segments
+from conftest import synthetic_corpus, synthetic_segments
+from oracles import OracleEmptyBin, icl_selection_oracle
 
 
 PAIR = LangPair("en", "gu")
@@ -220,7 +225,99 @@ def test_selection_uniform_within_bin():
     assert high_picks == {5, 6, 7}
 
 
+# scores on and around every bin boundary
+_GRID_SCORES = (0.0, 12.5, 30.0, 30.5, 42.0, 50.0, 50.5, 66.0, 70.0, 70.5,
+                85.0, 90.0, 90.5, 97.5, 100.0)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.sampled_from(_GRID_SCORES), min_size=1,
+                       max_size=14),
+       config=st.sampled_from(list(IclConfig)), seed=st.integers(0, 3),
+       fallback=st.booleans(), reverse=st.booleans())
+@example(scores=[95.0], config=IclConfig.ICL7, seed=0, fallback=True,
+         reverse=False)
+@example(scores=[10.0, 40.0, 60.0, 80.0, 95.0], config=IclConfig.ICL7,
+         seed=1, fallback=True, reverse=False)
+@example(scores=[10.0, 40.0, 80.0, 95.0], config=IclConfig.ICL5, seed=2,
+         fallback=False, reverse=True)
+def test_selection_matches_per_pick_reference(scores, config, seed, fallback,
+                                              reverse):
+    train = [_seg(3 * i + 1, score) for i, score in enumerate(scores)]
+    if reverse:
+        train.reverse()
+    try:
+        expected, substitutions = icl_selection_oracle(
+            [(s.id, s.da_mean) for s in train], str(PAIR), config.value,
+            seed, fallback)
+    except OracleEmptyBin as exc:
+        with pytest.raises(EmptyBin) as err:
+            select_icl_exemplars(train, config, seed, fallback=fallback)
+        assert err.value.bin_label == exc.label
+        return
+
+    records = _Records()
+    logger = logging.getLogger("qeharness.prompts")
+    logger.addHandler(records)
+    try:
+        chosen = select_icl_exemplars(train, config, seed, fallback=fallback)
+    finally:
+        logger.removeHandler(records)
+    assert [(e.segment.id, e.bin.label) for e in chosen] == expected
+    assert records.messages == [
+        f"bin {target} has no unused exemplar for {PAIR}; substituting from "
+        f"{actual}" for target, actual in substitutions]
+
+
+def test_icl_templates_hash_each_train_segment_once(monkeypatch, templates):
+    corpus = synthetic_corpus("en-gu", n_train=300, n_test=5)
+    hashed = []
+    real = seeding.stable_hash
+
+    def counted(*parts):
+        hashed.append(parts)
+        return real(*parts)
+
+    # rank_key looks stable_hash up in the seeding module at call time
+    monkeypatch.setattr(seeding, "stable_hash", counted)
+    prompts._ranked_ids.cache_clear()
+    for tid in ICL_TEMPLATES:
+        render_prompts(corpus, templates[tid], seed=5)
+    assert sorted(parts[-1] for parts in hashed) == \
+        sorted(s.id for s in corpus.train)
+
+
 # -- ICL rendering -----------------------------------------------------------------
+
+def test_render_icl_block_follows_the_exemplars(templates):
+    template = templates[TemplateId.AG_ICL5]
+    target = _seg(99, 50.0, Split.TEST)
+    first = select_icl_exemplars(_toy_train(), IclConfig.ICL5, seed=1)
+    other_train = [_seg(i + 20, s.da_mean, source=f"other {i}")
+                   for i, s in enumerate(_toy_train())]
+    other = select_icl_exemplars(other_train, IclConfig.ICL5, seed=1)
+
+    text = render_icl(template, first, target).text
+    other_text = render_icl(template, other, target).text
+    assert render_icl(template, first, target).text == text != other_text
+    assert all(e.segment.source in other_text for e in other)
+
+    # a list changed in place renders its new member
+    first[0] = IclExemplar(_seg(50, 5.0, source="swapped in"),
+                           ScoreBin.B0_30)
+    swapped = render_icl(template, first, target)
+    assert "swapped in" in swapped.text
+    assert swapped.exemplars[0].segment.id == 50
+
 
 def test_render_icl_scores_ascend_and_target_last(templates):
     exemplars = select_icl_exemplars(_toy_train(), IclConfig.ICL5, seed=1)

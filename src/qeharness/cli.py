@@ -273,7 +273,9 @@ def cmd_fertility(args) -> int:
 
 
 def cmd_export_sft(args) -> int:
-    corpora = load_corpora(_require_manifest(args))
+    # a per-pair export of one pair reads only that pair's TSVs
+    pairs = [args.pair] if args.pair and args.mode == SftMode.ILT.value else None
+    corpora = load_corpora(_require_manifest(args), pairs=pairs)
     templates = load_templates(args.template_dir)
     config = SftConfig(mode=SftMode(args.mode), shuffle_seed=args.seed or 0,
                        pair=args.pair)

@@ -8,17 +8,25 @@ dispatched prompt yields exactly one ModelOutput, failed or not.
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
 import math
 import os
 import random
+import select
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
-import requests
-
+from . import __version__
 from .errors import EndpointMissing
 from .prompts import RenderedPrompt
 from .seeding import stable_hash
@@ -135,18 +143,77 @@ class ModelOutput:
 
 
 class TransportError(Exception):
-    def __init__(self, reason: str, message: str = "", *, retryable: bool):
+    """One failed attempt. retry_after is the delay in seconds a 429 asked
+    for in its Retry-After header, when it gave one as delta-seconds."""
+
+    def __init__(self, reason: str, message: str = "", *, retryable: bool,
+                 retry_after: float | None = None):
         super().__init__(message or reason)
         self.reason = reason
         self.retryable = retryable
+        self.retry_after = retry_after
+
+
+def _retry_after(value: str | None) -> float | None:
+    """Seconds from a Retry-After header in delta-seconds form; None for
+    an HTTP-date, a malformed value or no header."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
+def _transport_error(exc: Exception) -> TransportError:
+    """Classify an exception raised while sending a request or reading its
+    response. The order matters: TimeoutError is an OSError, and
+    RemoteDisconnected is both an OSError and an HTTPException."""
+    if isinstance(exc, TimeoutError):
+        return TransportError(FAIL_TIMEOUT, str(exc), retryable=True)
+    if isinstance(exc, OSError):  # refused, reset, broken pipe, DNS, TLS
+        return TransportError(FAIL_CONNECTION, str(exc), retryable=True)
+    return TransportError(FAIL_PROTOCOL, str(exc), retryable=False)
+
+
+def _peer_closed(sock) -> bool:
+    """Whether an idle keep-alive socket reads as ready. An idle socket has
+    nothing to read unless its peer has closed it (or sent stray bytes);
+    either way it cannot carry another request."""
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _proxy_for(url) -> tuple[str, int, dict[str, str]] | None:
+    """(host, port, headers) of the environment's proxy for url, or None
+    when there is none or no_proxy exempts the host. Proxies speak plain
+    HTTP; credentials in the proxy URL become a Proxy-Authorization
+    header."""
+    if proxy_bypass(url.hostname):
+        return None
+    proxies = getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy:
+        return None
+    parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers = {}
+    if parts.username:
+        userinfo = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
+        headers["Proxy-Authorization"] = (
+            "Basic " + base64.b64encode(userinfo.encode()).decode("ascii"))
+    return parts.hostname, parts.port or 80, headers
 
 
 class HttpBackend:
     """Single-protocol HTTP client; one attempt per call, no retry logic.
 
-    An API key, when present in the environment, rides along as a bearer
-    token. Plain requests.post keeps the backend safe for use from the
-    batch dispatcher's worker threads.
+    Everything that stays fixed between calls is worked out once, here:
+    the endpoint's scheme, host and path, the proxy (read from the
+    environment, honouring no_proxy), the TLS context (the system trust
+    store) and the headers. An API key, when present in the environment,
+    rides along as a bearer token.
+
+    Keep-alive connections are pooled in the backend, not per thread, so
+    they outlive the batch dispatcher's thread pools. A call takes an idle
+    connection (dropping any whose peer has closed it) or opens one, and
+    gives it back once the response is read; a transport error closes it
+    instead. Redirects are not followed. close() releases the idle
+    connections; the backend stays usable.
     """
 
     deterministic = False
@@ -156,12 +223,76 @@ class HttpBackend:
         if not config.endpoint_url:
             raise EndpointMissing("no inference endpoint configured")
         self._config = config
-        self._headers = {"Content-Type": "application/json"}
+        self._headers = {"Content-Type": "application/json",
+                         "User-Agent": f"qeharness/{__version__}"}
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        # set when the URL cannot be served; every call then fails with it
+        self._invalid: str | None = None
+        url = urlsplit(config.endpoint_url)
+        try:
+            port = url.port
+        except ValueError as exc:
+            self._invalid = f"invalid endpoint URL: {exc}"
+            return
+        if url.scheme not in ("http", "https") or not url.hostname:
+            self._invalid = (f"unsupported endpoint URL "
+                             f"{config.endpoint_url!r}: need http(s)://host")
+            return
+        self._target = url.path or "/"
+        if url.query:
+            self._target += f"?{url.query}"
+        host, port = url.hostname, port or (443 if url.scheme == "https" else 80)
+        self._address = (host, port)
+        self._tunnel = None
+        self._connection = (
+            partial(http.client.HTTPSConnection,
+                    context=ssl.create_default_context())
+            if url.scheme == "https" else http.client.HTTPConnection)
+        proxy = _proxy_for(url)
+        if proxy is not None:
+            proxy_host, proxy_port, proxy_headers = proxy
+            self._address = (proxy_host, proxy_port)
+            if url.scheme == "https":
+                self._tunnel = (host, port, proxy_headers)
+            else:  # a plain-HTTP proxy takes the absolute URI
+                self._target = f"http://{url.netloc}{self._target}"
+                self._headers.update(proxy_headers)
+
+    def _open(self) -> http.client.HTTPConnection:
+        conn = self._connection(*self._address,
+                                timeout=self._config.request_timeout)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _take(self) -> http.client.HTTPConnection:
+        """An idle connection its peer has not closed, or a new one. A
+        connection whose last response closed it has no socket; it reopens
+        on its next request."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            if conn.sock is None or not _peer_closed(conn.sock):
+                return conn
+            conn.close()
+        return self._open()
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def generate_once(self, prompt: RenderedPrompt) -> str:
+        if self._invalid is not None:
+            raise TransportError(FAIL_PROTOCOL, self._invalid, retryable=False)
         cfg = self._config
         payload = {
             "model": cfg.model_name,
@@ -170,27 +301,35 @@ class HttpBackend:
             "max_tokens": cfg.max_new_tokens,
         }
         try:
-            resp = requests.post(cfg.endpoint_url, json=payload,
-                                 headers=self._headers,
-                                 timeout=cfg.request_timeout)
-        except requests.Timeout as exc:
-            raise TransportError(FAIL_TIMEOUT, str(exc), retryable=True)
-        except requests.ConnectionError as exc:
-            raise TransportError(FAIL_CONNECTION, str(exc), retryable=True)
-        except requests.RequestException as exc:
-            raise TransportError(FAIL_PROTOCOL, str(exc), retryable=False)
-
-        if resp.status_code == 429:
-            raise TransportError(FAIL_RATE_LIMITED, "HTTP 429", retryable=True)
-        if resp.status_code >= 500:
-            raise TransportError(FAIL_SERVER_ERROR,
-                                 f"HTTP {resp.status_code}", retryable=True)
-        if resp.status_code != 200:
-            # non-429 4xx will not improve on retry
-            raise TransportError(FAIL_CLIENT_ERROR,
-                                 f"HTTP {resp.status_code}", retryable=False)
+            body = json.dumps(payload, allow_nan=False).encode()
+        except ValueError as exc:  # a NaN or infinite temperature
+            raise TransportError(FAIL_PROTOCOL, f"unencodable request: {exc}",
+                                 retryable=False)
+        conn = self._take()
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        # http.client raises ValueError for a header value it will not send
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            conn.close()
+            raise _transport_error(exc) from exc
+        with self._lock:
+            self._idle.append(conn)
+
+        if resp.status == 429:
+            raise TransportError(
+                FAIL_RATE_LIMITED, "HTTP 429", retryable=True,
+                retry_after=_retry_after(resp.getheader("Retry-After")))
+        if resp.status >= 500:
+            raise TransportError(FAIL_SERVER_ERROR,
+                                 f"HTTP {resp.status}", retryable=True)
+        if resp.status != 200:
+            # non-429 4xx (and unfollowed 3xx) will not improve on retry
+            raise TransportError(FAIL_CLIENT_ERROR,
+                                 f"HTTP {resp.status}", retryable=False)
+        try:
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(FAIL_PROTOCOL,
                                  f"malformed response: {exc}", retryable=False)
@@ -325,10 +464,12 @@ def complete(config: InferenceConfig, prompt: RenderedPrompt,
     Prompts whose estimated token count exceeds the context window fail
     before any network call. Retryable transport failures back off
     exponentially (base doubling, jittered) up to max_retries extra
-    attempts.
+    attempts; a 429 that names its delay in Retry-After waits that long
+    instead.
     """
     if backend is None:
-        backend = HttpBackend(config)
+        with closing(HttpBackend(config)) as backend:
+            return complete(config, prompt, backend)
     ref = PromptRef.of(prompt)
 
     if estimate_tokens(prompt.text, config) > config.max_context_tokens:
@@ -345,9 +486,13 @@ def complete(config: InferenceConfig, prompt: RenderedPrompt,
             failure = exc.reason
             if not exc.retryable or attempts > config.max_retries:
                 break
-            delay = config.retry_backoff_base * (2 ** (attempts - 1))
+            if exc.retry_after is not None:
+                delay = exc.retry_after
+            else:
+                delay = config.retry_backoff_base * (2 ** (attempts - 1))
+                delay *= 1.0 + random.random() * 0.25
             if delay > 0:
-                time.sleep(delay * (1.0 + random.random() * 0.25))
+                time.sleep(delay)
             continue
         latency = 0.0 if backend.deterministic else time.monotonic() - started
         return ModelOutput(ref, text, latency, attempts, TRANSPORT_OK)
@@ -373,7 +518,8 @@ def complete_batch(config: InferenceConfig, prompts: list[RenderedPrompt],
     if not prompts:
         return []
     if backend is None:
-        backend = HttpBackend(config)
+        with closing(HttpBackend(config)) as backend:
+            return complete_batch(config, prompts, backend)
     if not getattr(backend, "waits", True):
         return [complete(config, p, backend) for p in prompts]
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -188,6 +189,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     corpora = load_corpora(manifest.corpora_manifest, pairs=manifest.pairs)
 
     base_cfg = InferenceConfig(**manifest.inference)
+    owned = nullcontext()  # closes the backend built here when the run ends
     if backend is None:
         if manifest.mock is not None:
             gold = gold_map(seg for corpus in corpora for seg in corpus.test)
@@ -195,6 +197,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
                                   seed=manifest.seed)
         elif base_cfg.endpoint_url:
             backend = HttpBackend(base_cfg)
+            owned = closing(backend)
         else:
             raise EndpointMissing(
                 "manifest has neither an endpoint_url nor a mock policy")
@@ -207,7 +210,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     errors: dict = {}
     dispatched_total = 0
 
-    with log_path.open("a", encoding="utf-8") as run_log:
+    with owned, log_path.open("a", encoding="utf-8") as run_log:
         def log(msg: str) -> None:
             run_log.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {msg}\n")
 

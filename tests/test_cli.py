@@ -227,6 +227,19 @@ def test_export_sft_subcommand(tmp_path, corpora_manifest, capsys):
     assert (out_dir / "sft_umt.jsonl").is_file()
 
 
+def test_export_sft_ilt_reads_only_its_pair(tmp_path, corpora_manifest,
+                                            capsys):
+    (corpora_manifest.parent / "en-gu.train.tsv").unlink()
+    out_dir = tmp_path / "sft"
+    code = main(["export-sft", "--manifest", str(corpora_manifest),
+                 "--mode", "ilt", "--pair", "si-en", "--out", str(out_dir)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "si-en: 40 records" in printed
+    assert "en-gu" not in printed
+    assert (out_dir / "sft_ilt_si-en.jsonl").is_file()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+from qeharness import __version__
 from qeharness.corpus import LangPair, Segment, Split
 from qeharness.errors import EndpointMissing
 from qeharness.extraction import extract_batch
@@ -16,9 +23,11 @@ from qeharness.gateway import (API_KEY_ENV_VAR, EchoScore, Fail,
                                ModelOutput, PromptRef, TRANSPORT_OK, complete,
                                complete_batch, estimate_tokens, gold_map,
                                MockBackend)
+from qeharness.gateway import FAIL_CONNECTION, FAIL_RATE_LIMITED, FAIL_TIMEOUT
+from qeharness.pipeline import RunManifest, run
 from qeharness.prompts import TemplateId, load_templates, render_zero_shot
 
-from conftest import synthetic_segments
+from conftest import synthetic_corpus, synthetic_segments, write_corpus_manifest
 
 
 TEMPLATES = load_templates()
@@ -375,3 +384,353 @@ def test_http_batch_mixed_results(chat_server):
     failed = [o for o in outputs if o.transport_status != TRANSPORT_OK]
     assert len(failed) == 1
     assert failed[0].prompt_ref.segment_id == 3
+
+
+# -- keep-alive transport ----------------------------------------------------------
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with Content-Length, so a connection carries many requests."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout  # None: wait for ever
+        super().setup()
+
+    def _record_and_respond(self, body, payload):
+        server = self.server
+        with server.lock:
+            index = len(server.seen)
+            server.seen.append((self.requestline, dict(self.headers), body))
+        if server.delay:
+            time.sleep(server.delay)
+        return server.respond(index, payload)
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        status, reply, headers = self._record_and_respond(body, json.loads(body))
+        data = json.dumps(reply).encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def do_CONNECT(self):  # a proxy that refuses every tunnel
+        self._record_and_respond(b"", None)
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    """Counts the connections it accepts and releases `closed` once per
+    connection it has closed. With idle_timeout set it closes a connection
+    that stays idle that long; with delay set it answers that late."""
+
+    daemon_threads = True
+
+    def __init__(self, respond, idle_timeout=None, delay=0.0):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.respond = respond
+        self.idle_timeout = idle_timeout
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.seen = []  # (request line, headers, body) per request
+        self.connections = 0
+        self.closed = threading.Semaphore(0)
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out hung up before the answer
+
+
+def _always_ok(index, payload):
+    return 200, _ok_body(), {}
+
+
+@pytest.fixture
+def keepalive_server():
+    servers = []
+
+    def start(respond=_always_ok, **options):
+        server = _KeepAliveServer(respond, **options)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+
+
+def _closed_all(server) -> bool:
+    return all(server.closed.acquire(timeout=5)
+               for _ in range(server.connections))
+
+
+def test_http_connections_are_reused_across_batches(keepalive_server):
+    server = keepalive_server()
+    cfg = _http_config(server, max_in_flight=2)
+    backend = HttpBackend(cfg)
+    segments, prompts = _prompts(20)
+    outputs = (complete_batch(cfg, prompts[:10], backend)
+               + complete_batch(cfg, prompts[10:], backend))
+    assert [o.transport_status for o in outputs] == [TRANSPORT_OK] * 20
+    assert len(server.seen) == 20
+    assert 1 <= server.connections <= 2
+    backend.close()
+    assert _closed_all(server)
+
+
+def test_http_stale_idle_connection_costs_no_retry(keepalive_server):
+    server = keepalive_server(idle_timeout=0.1)
+    cfg = _http_config(server)
+    backend = HttpBackend(cfg)
+    segments, prompts = _prompts(2)
+    first = complete(cfg, prompts[0], backend)
+    assert server.closed.acquire(timeout=5)  # the idle connection is gone
+    time.sleep(0.05)
+    second = complete(cfg, prompts[1], backend)
+    assert (first.transport_status, second.transport_status) == \
+           (TRANSPORT_OK, TRANSPORT_OK)
+    assert second.attempt_count == 1
+    assert server.connections == 2
+    assert len(server.seen) == 2
+    backend.close()
+
+
+def test_http_slow_server_times_out(keepalive_server):
+    server = keepalive_server(delay=0.5)
+    cfg = _http_config(server, request_timeout=0.2, max_retries=1)
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    assert out.transport_status == FAIL_TIMEOUT
+    assert out.attempt_count == cfg.max_retries + 1
+    assert out.raw_text == ""
+
+
+def test_http_refused_port_is_connection_error():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cfg = InferenceConfig(
+        endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions",
+        max_context_tokens=100000, request_timeout=5.0, max_retries=1,
+        retry_backoff_base=0.0)
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    assert out.transport_status == FAIL_CONNECTION
+    assert out.attempt_count == 2
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://example.org/v1", "http:///v1",
+                                      "http://example.org:port/v1"])
+def test_http_unusable_endpoint_is_protocol_error(endpoint):
+    cfg = InferenceConfig(endpoint_url=endpoint, max_context_tokens=100000,
+                          max_retries=3, retry_backoff_base=0.0)
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    assert out.transport_status == FAIL_PROTOCOL
+    assert out.attempt_count == 1
+
+
+def test_http_request_the_client_cannot_send_is_protocol_error(
+        keepalive_server, monkeypatch):
+    server = keepalive_server()
+    segments, prompts = _prompts(1)
+    nan = _http_config(server, temperature=float("nan"))  # JSON has no NaN
+    assert complete(nan, prompts[0]).transport_status == FAIL_PROTOCOL
+    monkeypatch.setenv(API_KEY_ENV_VAR, "key\nInjected: header")
+    out = complete(_http_config(server, max_retries=3), prompts[0])
+    assert out.transport_status == FAIL_PROTOCOL
+    assert out.attempt_count == 1
+    assert server.seen == []
+
+
+def test_https_against_a_plain_http_server_is_connection_error(keepalive_server):
+    server = keepalive_server()
+    cfg = _http_config(server, max_retries=0,
+                       endpoint_url=server.url.replace("http://", "https://"))
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    # the TLS handshake fails, so no request reaches the handler
+    assert out.transport_status == FAIL_CONNECTION
+    assert server.seen == []
+
+
+def _without_proxies(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy",
+                 "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+def test_http_proxy_from_environment_gets_absolute_uri(keepalive_server,
+                                                       monkeypatch):
+    server = keepalive_server()
+    _without_proxies(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{server.server_port}")
+    cfg = _http_config(server,
+                       endpoint_url="http://qe.invalid/v1/chat/completions")
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    assert out.transport_status == TRANSPORT_OK
+    request_line, headers, _ = server.seen[0]
+    assert request_line == \
+        "POST http://qe.invalid/v1/chat/completions HTTP/1.1"
+    assert headers["Host"] == "qe.invalid"
+
+
+def test_http_https_through_proxy_opens_a_tunnel(keepalive_server, monkeypatch):
+    server = keepalive_server()
+    _without_proxies(monkeypatch)
+    monkeypatch.setenv("HTTPS_PROXY", f"127.0.0.1:{server.server_port}")
+    cfg = _http_config(server, max_retries=0,
+                       endpoint_url="https://qe.invalid/v1/chat/completions")
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    # the proxy refuses the tunnel, so the request never reaches the host
+    assert out.transport_status == FAIL_CONNECTION
+    assert server.seen[0][0].startswith("CONNECT qe.invalid:443 ")
+
+
+def test_http_no_proxy_bypasses_the_proxy(keepalive_server, monkeypatch):
+    server = keepalive_server()
+    _without_proxies(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # discard port
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    cfg = _http_config(server)
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    assert out.transport_status == TRANSPORT_OK
+    assert server.seen[0][0] == "POST /v1/chat/completions HTTP/1.1"
+
+
+@pytest.mark.parametrize("api_key", [None, "sekrit"])
+def test_http_headers_and_body_bytes(keepalive_server, monkeypatch, api_key):
+    if api_key:
+        monkeypatch.setenv(API_KEY_ENV_VAR, api_key)
+    else:
+        monkeypatch.delenv(API_KEY_ENV_VAR, raising=False)
+    server = keepalive_server()
+    cfg = _http_config(server)
+    segments, prompts = _prompts(1)
+    complete(cfg, prompts[0])
+    _, headers, body = server.seen[0]
+    # Host, Content-Length and Accept-Encoding come from http.client itself
+    chosen = set(headers) - {"Host", "Content-Length", "Accept-Encoding"}
+    assert chosen == {"Content-Type", "User-Agent"} | (
+        {"Authorization"} if api_key else set())
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"] == f"qeharness/{__version__}"
+    if api_key:
+        assert headers["Authorization"] == f"Bearer {api_key}"
+    expected = {"model": "test-model",
+                "messages": [{"role": "user", "content": prompts[0].text}],
+                "temperature": 0.0, "max_tokens": 64}
+    assert body == json.dumps(expected, allow_nan=False).encode()
+
+
+def test_http_429_waits_for_retry_after(keepalive_server):
+    server = keepalive_server(
+        lambda i, payload: (429, {}, {"Retry-After": "1"}) if i == 0
+        else (200, _ok_body(), {}))
+    cfg = _http_config(server, retry_backoff_base=0.0)
+    segments, prompts = _prompts(1)
+    started = time.monotonic()
+    out = complete(cfg, prompts[0])
+    assert out.transport_status == TRANSPORT_OK
+    assert out.attempt_count == 2
+    assert time.monotonic() - started >= 1.0
+
+
+@pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon",
+                                   "-1", "1.5", ""])
+def test_http_429_unusable_retry_after_falls_back_to_backoff(keepalive_server,
+                                                             value):
+    server = keepalive_server(
+        lambda i, payload: (429, {}, {"Retry-After": value}) if i == 0
+        else (200, _ok_body(), {}))
+    cfg = _http_config(server, retry_backoff_base=0.0)
+    segments, prompts = _prompts(1)
+    started = time.monotonic()
+    out = complete(cfg, prompts[0])
+    assert out.attempt_count == 2
+    assert time.monotonic() - started < 0.9
+
+
+def test_http_429_without_retry_after_gives_up_as_rate_limited(keepalive_server):
+    server = keepalive_server(lambda i, payload: (429, {}, {}))
+    cfg = _http_config(server, max_retries=1)
+    segments, prompts = _prompts(1)
+    out = complete(cfg, prompts[0])
+    assert out.transport_status == FAIL_RATE_LIMITED
+    assert out.attempt_count == 2
+
+
+def test_http_shared_pool_under_contention(keepalive_server):
+    # more workers than cores and frequent thread switches: a connection
+    # handed to two threads at once would mix up or fail their exchanges
+    server = keepalive_server(
+        lambda i, payload: (200, _ok_body(payload["messages"][0]["content"][-60:]),
+                            {}))
+    cfg = _http_config(server, max_in_flight=8)
+    backend = HttpBackend(cfg)
+    segments, prompts = _prompts(200)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outputs = complete_batch(cfg, prompts, backend)
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
+    assert [o.transport_status for o in outputs] == [TRANSPORT_OK] * 200
+    assert [o.raw_text for o in outputs] == [p.text[-60:] for p in prompts]
+    assert server.connections <= 8
+
+
+def test_run_closes_the_backend_it_builds(keepalive_server, tmp_path):
+    server = keepalive_server(lambda i, payload: (200, _ok_body("Score: 50"), {}))
+    corpora_manifest = write_corpus_manifest(
+        tmp_path / "data", [synthetic_corpus("en-gu", n_train=40, n_test=12)])
+    manifest = RunManifest.from_dict({
+        "corpora_manifest": str(corpora_manifest), "templates": ["ag"],
+        "out_dir": str(tmp_path / "run"), "seed": 7,
+        "inference": {"endpoint_url": server.url, "model_name": "m",
+                      "max_in_flight": 3, "retry_backoff_base": 0.0}})
+    result = run(manifest)
+    assert result.inference_calls == 12
+    assert 1 <= server.connections <= 3
+    assert _closed_all(server)
+
+
+def test_cli_import_does_not_load_requests():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import qeharness.cli, sys; assert 'requests' not in sys.modules"],
+        env=env, check=True, timeout=60)

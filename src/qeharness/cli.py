@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .corpus import (SCORE_BINS, histogram, load_corpora, read_jsonl,
                      split_size_warnings, write_json, write_jsonl)
-from .errors import HarnessError, ManifestError
+from .errors import EmptyTrainSplit, HarnessError, ManifestError
 from .extraction import ExtractionResult, extract_batch, untrustworthy
 from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
                         write_plot_data_tsv, write_records_jsonl,
@@ -157,8 +158,7 @@ def cmd_run(args) -> int:
         updates["mock"] = parse_mock_arg(args.mock)
     if args.seed is not None:
         updates["seed"] = args.seed
-    if updates:
-        manifest = RunManifest.from_dict({**manifest.to_dict(), **updates})
+    manifest = replace(manifest, **updates)
 
     result = run(manifest)
     print(f"run dir: {result.run_dir}")
@@ -218,10 +218,11 @@ def cmd_score(args) -> int:
 
 def cmd_table(args) -> int:
     summary_path = args.run_dir / "summary.json"
-    if not summary_path.is_file():
-        raise ManifestError(f"no summary.json under {args.run_dir}")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    reports = [CorrelationReport.from_dict(d) for d in summary["reports"]]
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        reports = [CorrelationReport.from_dict(d) for d in summary["reports"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ManifestError(f"cannot read {summary_path}: {exc!r}") from exc
     if not reports:
         raise ManifestError("run produced no reports to tabulate")
 
@@ -274,11 +275,13 @@ def cmd_fertility(args) -> int:
 
 def cmd_export_sft(args) -> int:
     # a per-pair export of one pair reads only that pair's TSVs
-    pairs = [args.pair] if args.pair and args.mode == SftMode.ILT.value else None
-    corpora = load_corpora(_require_manifest(args), pairs=pairs)
+    pair = args.pair if args.mode == SftMode.ILT.value else None
+    corpora = load_corpora(_require_manifest(args),
+                           pairs=[pair] if pair else None)
+    if pair and not corpora:
+        raise EmptyTrainSplit(pair)
     templates = load_templates(args.template_dir)
-    config = SftConfig(mode=SftMode(args.mode), shuffle_seed=args.seed or 0,
-                       pair=args.pair)
+    config = SftConfig(mode=SftMode(args.mode), shuffle_seed=args.seed or 0)
     out_dir = args.out or Path("sft_export")
     manifest = export(corpora, config, out_dir, templates[TemplateId.AG])
     for pair, count in sorted(manifest["counts"].items()):

@@ -84,9 +84,6 @@ class Corpus:
     train: tuple[Segment, ...]
     test: tuple[Segment, ...]
 
-    def segments(self, split: Split) -> tuple[Segment, ...]:
-        return self.train if split is Split.TRAIN else self.test
-
 
 class ScoreBin(Enum):
     """The five DA score ranges used both for in-context example selection

@@ -9,14 +9,15 @@ golden table. Changing anything here is a replication-affecting decision.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 from .gateway import ModelOutput, PromptRef, TRANSPORT_OK
 
 __all__ = [
     "REASON_NO_NUMERIC_MATCH", "REASON_OUT_OF_RANGE", "REASON_TRANSPORT_FAILED",
     "REASON_AMBIGUOUS", "EXCLUSION_REASONS", "Outcome", "ExtractionResult",
-    "ExclusionLedger", "extract_score", "extract_batch",
+    "ExclusionLedger", "extract_score", "extract_batch", "exclusion_reasons",
     "UNTRUSTWORTHY_EXCLUSION_SHARE", "untrustworthy",
 ]
 
@@ -175,15 +176,13 @@ class ExclusionLedger:
         return untrustworthy(self.excluded_count, self.total)
 
     def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "template": self.template,
-            "model": self.model,
-            "total": self.total,
-            "excluded_count": self.excluded_count,
-            "reasons": dict(sorted(self.reasons.items())),
-            "flagged_untrustworthy": self.flagged_untrustworthy,
-        }
+        return {**asdict(self),
+                "flagged_untrustworthy": self.flagged_untrustworthy}
+
+
+def exclusion_reasons(results: list[ExtractionResult]) -> dict[str, int]:
+    """How many results without a score carry each exclusion reason."""
+    return dict(Counter(r.reason for r in results if r.score is None))
 
 
 def extract_batch(outputs: list[ModelOutput], *, model: str = "",
@@ -194,18 +193,16 @@ def extract_batch(outputs: list[ModelOutput], *, model: str = "",
     the (empty) generated text.
     """
     results = []
-    reasons: dict[str, int] = {}
     for out in outputs:
         if out.transport_status != TRANSPORT_OK:
             outcome = Outcome(None, REASON_TRANSPORT_FAILED)
         else:
             outcome = extract_score(out.raw_text)
-        if outcome.reason is not None:
-            reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
         results.append(ExtractionResult(out.prompt_ref, outcome.score,
                                         outcome.reason, outcome.span))
 
     first = outputs[0].prompt_ref if outputs else None
+    reasons = exclusion_reasons(results)
     ledger = ExclusionLedger(
         pair=first.pair if first else "",
         template=first.template if first else "",

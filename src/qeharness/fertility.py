@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import Corpus, Segment, write_jsonl
@@ -190,13 +190,7 @@ class FertilityRecord:
     fertility: dict     # tokenizer name -> tokens / words
 
     def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "sentence_id": self.sentence_id,
-            "word_count": self.word_count,
-            "token_counts": dict(sorted(self.token_counts.items())),
-            "fertility": dict(sorted(self.fertility.items())),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,8 @@ class InferenceConfig:
     token_estimator: Callable[[str], int] | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
         for name in ("max_context_tokens", "max_new_tokens", "max_in_flight"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -205,8 +205,10 @@ class HttpBackend:
     Everything that stays fixed between calls is worked out once, here:
     the endpoint's scheme, host and path, the proxy (read from the
     environment, honouring no_proxy), the TLS context (the system trust
-    store) and the headers. An API key, when present in the environment,
-    rides along as a bearer token.
+    store) and the headers. An endpoint URL that is missing, or has no
+    host, a bad port or a scheme other than http(s), raises EndpointMissing
+    here, before any prompt is sent. An API key, when present in the
+    environment, rides along as a bearer token.
 
     Keep-alive connections are pooled in the backend, not per thread, so
     they outlive the batch dispatcher's thread pools. A call takes an idle
@@ -222,6 +224,15 @@ class HttpBackend:
     def __init__(self, config: InferenceConfig):
         if not config.endpoint_url:
             raise EndpointMissing("no inference endpoint configured")
+        url = urlsplit(config.endpoint_url)
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise EndpointMissing(f"invalid endpoint URL: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise EndpointMissing(
+                f"unsupported endpoint URL {config.endpoint_url!r}: "
+                "need http(s)://host")
         self._config = config
         self._headers = {"Content-Type": "application/json",
                          "User-Agent": f"qeharness/{__version__}"}
@@ -230,18 +241,6 @@ class HttpBackend:
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
-        # set when the URL cannot be served; every call then fails with it
-        self._invalid: str | None = None
-        url = urlsplit(config.endpoint_url)
-        try:
-            port = url.port
-        except ValueError as exc:
-            self._invalid = f"invalid endpoint URL: {exc}"
-            return
-        if url.scheme not in ("http", "https") or not url.hostname:
-            self._invalid = (f"unsupported endpoint URL "
-                             f"{config.endpoint_url!r}: need http(s)://host")
-            return
         self._target = url.path or "/"
         if url.query:
             self._target += f"?{url.query}"
@@ -291,8 +290,6 @@ class HttpBackend:
             conn.close()
 
     def generate_once(self, prompt: RenderedPrompt) -> str:
-        if self._invalid is not None:
-            raise TransportError(FAIL_PROTOCOL, self._invalid, retryable=False)
         cfg = self._config
         payload = {
             "model": cfg.model_name,
@@ -300,11 +297,7 @@ class HttpBackend:
             "temperature": cfg.temperature,
             "max_tokens": cfg.max_new_tokens,
         }
-        try:
-            body = json.dumps(payload, allow_nan=False).encode()
-        except ValueError as exc:  # a NaN or infinite temperature
-            raise TransportError(FAIL_PROTOCOL, f"unencodable request: {exc}",
-                                 retryable=False)
+        body = json.dumps(payload).encode()
         conn = self._take()
         try:
             conn.request("POST", self._target, body, self._headers)

@@ -10,10 +10,11 @@ compensated (Kahan) summation so results hold to 1e-12 on samples up to 1e5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .errors import DegenerateVariance, TooFewPairs, ZeroVariance
+from .extraction import exclusion_reasons
 
 __all__ = [
     "PairedSample", "pearson", "spearman", "kendall", "paired_t_test",
@@ -313,21 +314,7 @@ class CorrelationReport:
     exclusion_reasons: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "template": self.template,
-            "model": self.model,
-            "n_used": self.n_used,
-            "n_excluded": self.n_excluded,
-            "pearson_r": self.pearson_r,
-            "spearman_rho": self.spearman_rho,
-            "kendall_tau": self.kendall_tau,
-            "t_stat": self.t_stat,
-            "p_value": self.p_value,
-            "significance": self.significance.value,
-            "tau_variant": self.tau_variant,
-            "exclusion_reasons": dict(sorted(self.exclusion_reasons.items())),
-        }
+        return {**asdict(self), "significance": self.significance.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorrelationReport":
@@ -345,12 +332,8 @@ def evaluate(gold_by_id: dict, results, *, pair: str, template: str,
     human DA mean.
     """
     gold, pred = [], []
-    n_excluded = 0
-    reasons: dict[str, int] = {}
     for res in results:
         if res.score is None:
-            n_excluded += 1
-            reasons[res.reason] = reasons.get(res.reason, 0) + 1
             continue
         seg_id = res.prompt_ref.segment_id
         if seg_id not in gold_by_id:
@@ -361,6 +344,7 @@ def evaluate(gold_by_id: dict, results, *, pair: str, template: str,
     if len(gold) < 2:
         raise TooFewPairs(f"only {len(gold)} scored pairs after exclusions")
 
+    reasons = exclusion_reasons(results)
     sample = PairedSample(gold, pred)
     try:
         t_stat, p_value = paired_t_test(sample)
@@ -369,7 +353,7 @@ def evaluate(gold_by_id: dict, results, *, pair: str, template: str,
 
     return CorrelationReport(
         pair=pair, template=template, model=model,
-        n_used=len(gold), n_excluded=n_excluded,
+        n_used=len(gold), n_excluded=sum(reasons.values()),
         pearson_r=pearson(sample),
         spearman_rho=spearman(sample),
         kendall_tau=kendall(sample),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .corpus import Corpus, load_corpora, read_jsonl, write_json, write_jsonl
@@ -70,39 +70,25 @@ class RunManifest:
     resume: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "corpora_manifest": self.corpora_manifest,
-            "templates": [t.value for t in self.templates],
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "icl_seed": self.icl_seed,
-            "pairs": list(self.pairs) if self.pairs else None,
-            "inference": dict(sorted(self.inference.items())),
-            "mock": self.mock,
-            "template_dir": self.template_dir,
-            "resume": self.resume,
-        }
+        return {**asdict(self), "templates": [t.value for t in self.templates],
+                "pairs": list(self.pairs) if self.pairs else None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
+        """The manifest a JSON object encodes; keys that name no field are
+        ignored."""
+        if not isinstance(d, dict):
+            raise ManifestError("run manifest must be a JSON object")
         try:
             templates = tuple(TemplateId(t) for t in d["templates"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad templates field: {exc}") from exc
         if "corpora_manifest" not in d or "out_dir" not in d:
             raise ManifestError("manifest needs corpora_manifest and out_dir")
-        return cls(
-            corpora_manifest=d["corpora_manifest"],
-            templates=templates,
-            out_dir=d["out_dir"],
-            seed=d.get("seed", 0),
-            icl_seed=d.get("icl_seed"),
-            pairs=tuple(d["pairs"]) if d.get("pairs") else None,
-            inference=d.get("inference", {}),
-            mock=d.get("mock"),
-            template_dir=d.get("template_dir"),
-            resume=d.get("resume", False),
-        )
+        known = {f.name for f in fields(cls)}
+        given = {k: v for k, v in d.items() if k in known}
+        return cls(**{**given, "templates": templates,
+                      "pairs": tuple(d["pairs"]) if d.get("pairs") else None})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunManifest":
@@ -177,31 +163,37 @@ def _context_default(template_id: TemplateId) -> int:
 def run(manifest: RunManifest, backend=None) -> RunResult:
     """Execute the manifest: render, infer, extract, evaluate, persist.
 
-    Manifest and corpus problems fail fast; per-item inference failures are
-    recorded in the outputs and ledger without aborting. With resume on,
-    prompts that already have persisted outputs are not dispatched again.
+    Manifest and corpus problems fail fast, before the run directory is
+    written: unusable inference settings or endpoint URL raise
+    ManifestError. Per-item inference failures are recorded in the outputs
+    and ledger without aborting. With resume on, prompts that already have
+    persisted outputs are not dispatched again.
     """
-    out = Path(manifest.out_dir)
-    for sub in ("prompts", "outputs", "extractions", "reports"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+    try:
+        base_cfg = InferenceConfig(**manifest.inference)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"bad inference settings: {exc}") from exc
+    owned = nullcontext()  # closes the backend built here when the run ends
+    if backend is None and manifest.mock is None and base_cfg.endpoint_url:
+        try:
+            backend = HttpBackend(base_cfg)
+        except EndpointMissing as exc:
+            raise ManifestError(f"bad endpoint_url: {exc}") from exc
+        owned = closing(backend)
 
     templates = load_templates(manifest.template_dir)
     corpora = load_corpora(manifest.corpora_manifest, pairs=manifest.pairs)
-
-    base_cfg = InferenceConfig(**manifest.inference)
-    owned = nullcontext()  # closes the backend built here when the run ends
     if backend is None:
-        if manifest.mock is not None:
-            gold = gold_map(seg for corpus in corpora for seg in corpus.test)
-            backend = MockBackend(build_mock_policy(manifest.mock), gold=gold,
-                                  seed=manifest.seed)
-        elif base_cfg.endpoint_url:
-            backend = HttpBackend(base_cfg)
-            owned = closing(backend)
-        else:
+        if manifest.mock is None:
             raise EndpointMissing(
                 "manifest has neither an endpoint_url nor a mock policy")
+        gold = gold_map(seg for corpus in corpora for seg in corpus.test)
+        backend = MockBackend(build_mock_policy(manifest.mock), gold=gold,
+                              seed=manifest.seed)
 
+    out = Path(manifest.out_dir)
+    for sub in ("prompts", "outputs", "extractions", "reports"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
     write_json(out / "manifest.json", manifest.to_dict())
 
     log_path = out / "log.txt"

@@ -126,7 +126,10 @@ def load_templates(directory: str | Path | None = None,
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise TemplateMissing(f"no template manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise TemplateInvalid(f"bad JSON in {manifest_path}: {exc}") from exc
 
     templates = {}
     for tid in TemplateId:

@@ -40,7 +40,6 @@ class SftMode(Enum):
 class SftConfig:
     mode: SftMode
     shuffle_seed: int = 0
-    pair: str | None = None  # restrict ILT export to one pair
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,6 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if config.mode is SftMode.ILT and config.pair is not None:
-        corpora = [c for c in corpora if str(c.pair) == config.pair]
-        if not corpora:
-            raise EmptyTrainSplit(config.pair)
     if not corpora:
         raise EmptyTrainSplit("*")
 

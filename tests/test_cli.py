@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+import qeharness
 from qeharness.cli import main
 from qeharness.gateway import ModelOutput, PromptRef, TRANSPORT_OK
 
@@ -111,6 +113,57 @@ def test_run_with_mock_then_table(tmp_path, corpora_manifest, capsys):
                  "--detailed", "--style", "tsv"]) == 0
     detailed = capsys.readouterr().out
     assert "mock-model:E" in detailed.splitlines()[0]
+
+
+@pytest.mark.parametrize("extra", [
+    {"inference": {"temprature": 0.5}},
+    {"inference": {"temperature": -1}},
+    {"inference": {"temperature": float("nan")}},
+    {"inference": {"endpoint_url": "ftp://example.org/v1"}},
+    {"inference": None},
+], ids=["unknown-key", "negative-temperature", "nan-temperature",
+        "ftp-endpoint", "null-inference"])
+def test_run_bad_inference_settings_fail_before_writing(tmp_path,
+                                                        corpora_manifest,
+                                                        capsys, extra):
+    manifest = _run_manifest_file(tmp_path, corpora_manifest, **extra)
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    assert "error[ManifestError]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_manifest_that_is_not_an_object_is_typed_error(tmp_path, capsys):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps(["ag"]), encoding="utf-8")
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    assert "error[ManifestError]" in capsys.readouterr().err
+
+
+def test_run_torn_template_manifest_is_typed_error(tmp_path, corpora_manifest,
+                                                   capsys):
+    template_dir = tmp_path / "templates"
+    shutil.copytree(Path(qeharness.__file__).parent / "templates",
+                    template_dir)
+    torn = (template_dir / "manifest.json").read_text(encoding="utf-8")
+    (template_dir / "manifest.json").write_text(torn[:len(torn) // 2],
+                                                encoding="utf-8")
+    manifest = _run_manifest_file(tmp_path, corpora_manifest,
+                                  template_dir=str(template_dir))
+    assert main(["run", "--manifest", str(manifest),
+                 "--mock", "echo-score"]) == 1
+    assert "error[TemplateInvalid]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("summary", [None, '{"reports": [{"pair": "en-gu", "te',
+                                     '{"ledgers": []}', '[]',
+                                     '{"reports": [{"pair": "en-gu"}]}'],
+                         ids=["missing", "torn", "no-reports", "list",
+                              "short-report"])
+def test_table_over_bad_summary_is_typed_error(tmp_path, capsys, summary):
+    if summary is not None:
+        (tmp_path / "summary.json").write_text(summary, encoding="utf-8")
+    assert main(["table", "--run-dir", str(tmp_path)]) == 1
+    assert "error[ManifestError]" in capsys.readouterr().err
 
 
 def test_run_resume_flag(tmp_path, corpora_manifest, capsys):
@@ -238,6 +291,16 @@ def test_export_sft_ilt_reads_only_its_pair(tmp_path, corpora_manifest,
     assert "si-en: 40 records" in printed
     assert "en-gu" not in printed
     assert (out_dir / "sft_ilt_si-en.jsonl").is_file()
+
+
+def test_export_sft_ilt_unknown_pair_is_typed_error(tmp_path,
+                                                    corpora_manifest, capsys):
+    code = main(["export-sft", "--manifest", str(corpora_manifest),
+                 "--mode", "ilt", "--pair", "xx-yy",
+                 "--out", str(tmp_path / "sft")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[EmptyTrainSplit]" in err and "xx-yy" in err
 
 
 def test_version_flag(capsys):

@@ -61,6 +61,13 @@ def test_config_validation():
         InferenceConfig(max_in_flight=0)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])
+def test_config_rejects_temperature_that_is_not_finite_and_non_negative(
+        temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        InferenceConfig(temperature=temperature)
+
+
 def test_token_estimate_char_heuristic():
     cfg = InferenceConfig()
     assert estimate_tokens("x" * 9, cfg) == 3
@@ -548,21 +555,28 @@ def test_http_refused_port_is_connection_error():
 
 @pytest.mark.parametrize("endpoint", ["ftp://example.org/v1", "http:///v1",
                                       "http://example.org:port/v1"])
-def test_http_unusable_endpoint_is_protocol_error(endpoint):
+def test_http_unusable_endpoint_is_endpoint_missing(endpoint, keepalive_server,
+                                                    monkeypatch):
+    server = keepalive_server()
+    # every proxy points at the server, so any request sent would land there
+    _without_proxies(monkeypatch)
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "FTP_PROXY", "ALL_PROXY"):
+        monkeypatch.setenv(name, f"http://127.0.0.1:{server.server_port}")
     cfg = InferenceConfig(endpoint_url=endpoint, max_context_tokens=100000,
                           max_retries=3, retry_backoff_base=0.0)
     segments, prompts = _prompts(1)
-    out = complete(cfg, prompts[0])
-    assert out.transport_status == FAIL_PROTOCOL
-    assert out.attempt_count == 1
+    with pytest.raises(EndpointMissing):
+        HttpBackend(cfg)
+    with pytest.raises(EndpointMissing):
+        complete(cfg, prompts[0])
+    assert server.connections == 0
+    assert server.seen == []
 
 
 def test_http_request_the_client_cannot_send_is_protocol_error(
         keepalive_server, monkeypatch):
     server = keepalive_server()
     segments, prompts = _prompts(1)
-    nan = _http_config(server, temperature=float("nan"))  # JSON has no NaN
-    assert complete(nan, prompts[0]).transport_status == FAIL_PROTOCOL
     monkeypatch.setenv(API_KEY_ENV_VAR, "key\nInjected: header")
     out = complete(_http_config(server, max_retries=3), prompts[0])
     assert out.transport_status == FAIL_PROTOCOL

@@ -205,6 +205,7 @@ def test_run_garbage_mock_fills_ledger(tmp_path):
     assert report.spearman_rho == pytest.approx(1.0, abs=1e-12)
     ledger = result.ledgers[0]
     assert ledger.excluded_count == report.n_excluded
+    assert report.exclusion_reasons == ledger.reasons
 
 
 def test_resume_over_torn_outputs_line_is_typed(tmp_path):

@@ -5,14 +5,14 @@ from collections import Counter
 
 import pytest
 
-from qeharness.corpus import Corpus, LangPair
+from qeharness.corpus import Corpus, LangPair, load_corpora
 from qeharness.errors import EmptyTrainSplit
 from qeharness.extraction import extract_score
 from qeharness.prompts import TemplateId
 from qeharness.sft_export import (HYPERPARAMETER_MEMO, SftConfig, SftMode,
                                   build_records, export)
 
-from conftest import synthetic_corpus, synthetic_segments
+from conftest import synthetic_corpus, synthetic_segments, write_corpus_manifest
 from qeharness.corpus import Split
 
 
@@ -88,17 +88,20 @@ def test_ilt_writes_one_file_per_pair(tmp_path, ag_template):
 
 
 def test_ilt_single_pair_restriction(tmp_path, ag_template):
-    corpora = _corpora({"en-gu": 12, "si-en": 8})
-    manifest = export(corpora, SftConfig(SftMode.ILT, pair="si-en"),
-                      tmp_path, ag_template)
+    corpora_path = write_corpus_manifest(tmp_path / "data",
+                                         _corpora({"en-gu": 12, "si-en": 8}))
+    manifest = export(load_corpora(corpora_path, pairs=["si-en"]),
+                      SftConfig(SftMode.ILT), tmp_path / "out", ag_template)
     assert manifest["counts"] == {"si-en": 8}
-    assert not (tmp_path / "sft_ilt_en-gu.jsonl").exists()
+    assert not (tmp_path / "out" / "sft_ilt_en-gu.jsonl").exists()
 
 
 def test_ilt_unknown_pair(tmp_path, ag_template):
+    corpora_path = write_corpus_manifest(tmp_path / "data",
+                                         _corpora({"en-gu": 5}))
     with pytest.raises(EmptyTrainSplit):
-        export(_corpora({"en-gu": 5}), SftConfig(SftMode.ILT, pair="xx-yy"),
-               tmp_path, ag_template)
+        export(load_corpora(corpora_path, pairs=["xx-yy"]),
+               SftConfig(SftMode.ILT), tmp_path / "out", ag_template)
 
 
 def test_umt_zero_corpora(tmp_path, ag_template):

@@ -9,11 +9,14 @@ z-normalized columns, when present, are ignored.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -80,9 +83,14 @@ class Segment:
 
 @dataclass(frozen=True)
 class Corpus:
+    """A pair's splits. digest is the SHA-256 of the column map and the
+    train and test TSV bytes they were loaded from; empty for a corpus
+    built in memory."""
+
     pair: LangPair
     train: tuple[Segment, ...]
     test: tuple[Segment, ...]
+    digest: str = ""
 
 
 class ScoreBin(Enum):
@@ -159,58 +167,77 @@ class LoadDiagnostic:
 def load_corpus(path: str | Path, pair: LangPair, split: Split,
                 column_map: ColumnMap | None = None, *,
                 strict: bool = False,
-                diagnostics: list[LoadDiagnostic] | None = None) -> list[Segment]:
+                diagnostics: list[LoadDiagnostic] | None = None,
+                hasher=None) -> list[Segment]:
     """Load segments from a TSV file in file order.
 
     Every row either yields a Segment or is reported: in lenient mode (the
     default) failures are appended to `diagnostics` and skipped; in strict
     mode the first failure raises RowParseError. Segment ids are the 1-based
     data-row indices, so they stay stable when other rows fail to parse.
+    Blank lines are not data rows; a short row reads its missing fields as
+    empty, and fields past the header are ignored. With `hasher` given (a
+    hashlib object), the file's bytes are fed to it as they are read.
     """
     column_map = column_map or ColumnMap()
     path = Path(path)
     try:
-        fh = path.open("r", encoding="utf-8", newline="")
+        data = path.read_bytes()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    if hasher is not None:
+        hasher.update(data)
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                       newline=""), dialect="excel-tab")
+    try:
+        return _segments(rows, pair, split, column_map, strict, diagnostics)
+    except UnicodeDecodeError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
-    with fh:
-        reader = csv.DictReader(fh, dialect="excel-tab")
-        header = reader.fieldnames or []
-        for col in (column_map.source, column_map.translation, column_map.score):
-            if col not in header:
-                raise MissingColumn(col)
 
-        segments: list[Segment] = []
-        for row_idx, row in enumerate(reader, start=1):
-            reason = None
-            source = (row.get(column_map.source) or "").strip()
-            translation = (row.get(column_map.translation) or "").strip()
-            raw_score = (row.get(column_map.score) or "").strip()
-            score = None
-            if not source:
-                reason = "EmptySource"
-            elif not translation:
-                reason = "EmptyTranslation"
+def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
+              column_map: ColumnMap, strict: bool,
+              diagnostics: list[LoadDiagnostic] | None) -> list[Segment]:
+    """load_corpus's reading of csv rows, the first of them the header."""
+    # of two columns with one name, the later one is read
+    index = {name: i for i, name in enumerate(next(rows, []))}
+    for col in (column_map.source, column_map.translation, column_map.score):
+        if col not in index:
+            raise MissingColumn(col)
+    src_at, mt_at, score_at = (index[column_map.source],
+                               index[column_map.translation],
+                               index[column_map.score])
+    width = max(src_at, mt_at, score_at) + 1
+
+    segments: list[Segment] = []
+    row_idx = 0
+    for row in rows:
+        if not row:
+            continue
+        row_idx += 1
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        source = row[src_at].strip()
+        translation = row[mt_at].strip()
+        if not source:
+            reason = "EmptySource"
+        elif not translation:
+            reason = "EmptyTranslation"
+        else:
+            try:
+                score = float(row[score_at].strip())
+            except ValueError:
+                reason = "BadNumber"
             else:
-                try:
-                    score = float(raw_score)
-                except ValueError:
-                    reason = "BadNumber"
-                else:
-                    if not (0.0 <= score <= 100.0):
-                        reason = "OutOfRange"
-
-            if reason is not None:
-                if strict:
-                    raise RowParseError(row_idx, reason)
-                if diagnostics is not None:
-                    diagnostics.append(LoadDiagnostic(row_idx, reason))
-                continue
-
-            segments.append(Segment(id=row_idx, source=source,
-                                    translation=translation, da_mean=score,
-                                    pair=pair, split=split))
+                if 0.0 <= score <= 100.0:
+                    segments.append(Segment(row_idx, source, translation,
+                                            score, pair, split))
+                    continue
+                reason = "OutOfRange"
+        if strict:
+            raise RowParseError(row_idx, reason)
+        if diagnostics is not None:
+            diagnostics.append(LoadDiagnostic(row_idx, reason))
     return segments
 
 
@@ -236,21 +263,37 @@ def write_corpus_tsv(segments: list[Segment] | tuple[Segment, ...],
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
-    """Stream one sorted-key JSON object per line to a temp file, then move
-    it into place, so the file at path is never seen half written."""
+def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> str:
+    """Stream one sorted-key JSON object per line to path, atomically (see
+    _write_atomic). Returns the SHA-256 hex digest of the bytes written."""
+    encode = _LINE_ENCODER.encode
+    lines = (encode(d) + "\n" for d in dicts)
+    # 64 lines a chunk: with long ICL prompt lines, chunks of 512 raised a
+    # full run's peak RSS by about 14 MB. A chunk is empty only when the
+    # lines run out.
+    return _write_atomic(path, iter(lambda: "".join(islice(lines, 64)), ""))
+
+
+def write_json(path: str | Path, doc) -> str:
+    """Write doc as indented sorted-key JSON, atomically. Returns the
+    SHA-256 hex digest of the bytes written."""
+    return _write_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+
+
+def _write_atomic(path: str | Path, chunks: Iterable[str]) -> str:
+    """Write the UTF-8 encoding of chunks to a temp file and move it into
+    place, so the file at path is never seen half written. Returns the
+    SHA-256 hex digest of the bytes written, taken on the way out."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    encode = _LINE_ENCODER.encode
-    with tmp.open("w", encoding="utf-8") as fh:
-        for d in dicts:
-            fh.write(encode(d) + "\n")
+    digest = hashlib.sha256()
+    with tmp.open("wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
     os.replace(tmp, path)
-
-
-def write_json(path: str | Path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    return digest.hexdigest()
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
@@ -317,11 +360,17 @@ def load_corpora(manifest_path: str | Path, *, strict: bool = False,
     for entry in load_corpus_manifest(manifest_path):
         if wanted is not None and str(entry.pair) not in wanted:
             continue
+        train_hash, test_hash = hashlib.sha256(), hashlib.sha256()
         train = load_corpus(entry.train_path, entry.pair, Split.TRAIN,
-                            entry.column_map, strict=strict, diagnostics=diagnostics)
+                            entry.column_map, strict=strict,
+                            diagnostics=diagnostics, hasher=train_hash)
         test = load_corpus(entry.test_path, entry.pair, Split.TEST,
-                           entry.column_map, strict=strict, diagnostics=diagnostics)
-        corpus = Corpus(entry.pair, tuple(train), tuple(test))
+                           entry.column_map, strict=strict,
+                           diagnostics=diagnostics, hasher=test_hash)
+        digest = hashlib.sha256(json.dumps(
+            [asdict(entry.column_map), train_hash.hexdigest(),
+             test_hash.hexdigest()]).encode()).hexdigest()
+        corpus = Corpus(entry.pair, tuple(train), tuple(test), digest)
         for warning in split_size_warnings(corpus):
             log.info("%s", warning)  # advisory only; ingest prints them
         corpora.append(corpus)

@@ -179,6 +179,12 @@ class ExclusionLedger:
         return {**asdict(self),
                 "flagged_untrustworthy": self.flagged_untrustworthy}
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExclusionLedger":
+        """The ledger to_dict encoded; the derived flag is recomputed."""
+        return cls(**{k: v for k, v in d.items()
+                      if k != "flagged_untrustworthy"})
+
 
 def exclusion_reasons(results: list[ExtractionResult]) -> dict[str, int]:
     """How many results without a score carry each exclusion reason."""

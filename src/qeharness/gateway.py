@@ -187,16 +187,23 @@ def _proxy_for(url) -> tuple[str, int, dict[str, str]] | None:
     if proxy_bypass(url.hostname):
         return None
     proxies = getproxies()
-    proxy = proxies.get(url.scheme) or proxies.get("all")
+    scheme = url.scheme if proxies.get(url.scheme) else "all"
+    proxy = proxies.get(scheme)
     if not proxy:
         return None
     parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        port = parts.port or 80
+    except ValueError as exc:  # a port that is not a number in 0-65535
+        name = (f"{scheme}_proxy" if f"{scheme}_proxy" in os.environ
+                else f"{scheme.upper()}_PROXY")
+        raise EndpointMissing(f"bad proxy {proxy!r} in {name}: {exc}") from exc
     headers = {}
     if parts.username:
         userinfo = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
         headers["Proxy-Authorization"] = (
             "Basic " + base64.b64encode(userinfo.encode()).decode("ascii"))
-    return parts.hostname, parts.port or 80, headers
+    return parts.hostname, port, headers
 
 
 class HttpBackend:

@@ -3,13 +3,15 @@
 A run is fully determined by its manifest (up to endpoint nondeterminism):
 corpora, templates, seeds, inference settings, and optional mock policy.
 Artifacts land in one directory per run under names that encode template
-version, seed, and model, which is what makes resuming cheap. Wall-clock
+version, seed, and model; a fingerprint of each combo's inputs decides on
+resume whether its artifacts can be kept as they are. Wall-clock
 timestamps appear only in the run log, never in artifacts, so mock-backed
 runs are byte-identical end to end.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from contextlib import closing, nullcontext
@@ -99,19 +101,25 @@ class RunManifest:
 
 
 def build_mock_policy(spec: dict):
-    """Construct a mock policy from its manifest encoding, with defaults."""
+    """Construct a mock policy from its manifest encoding, with defaults.
+    An offset, p or segment id that does not parse raises ManifestError."""
     kind = spec.get("policy")
-    if kind == "echo-score":
-        offset = spec.get("offset")
-        if offset is None:
-            return EchoScore()
-        return EchoScore(transform=lambda g: round(g + offset, 1))
-    if kind == "fixed":
-        return Fixed(spec.get("text", ""))
-    if kind == "garbage":
-        return Garbage(float(spec.get("p", 0.1)))
-    if kind == "fail":
-        return Fail(segment_ids=frozenset(spec.get("segment_ids", [])))
+    try:
+        if kind == "echo-score":
+            offset = spec.get("offset")
+            if offset is None:
+                return EchoScore()
+            offset = float(offset)
+            return EchoScore(transform=lambda g: round(g + offset, 1))
+        if kind == "fixed":
+            return Fixed(spec.get("text", ""))
+        if kind == "garbage":
+            return Garbage(float(spec.get("p", 0.1)))
+        if kind == "fail":
+            return Fail(segment_ids=frozenset(
+                int(i) for i in spec.get("segment_ids", [])))
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"bad {kind} mock policy {spec!r}: {exc}") from exc
     raise ManifestError(f"unknown mock policy {kind!r}")
 
 
@@ -132,7 +140,10 @@ def parse_mock_arg(text: str) -> dict:
     if kind not in _MOCK_ARGS:
         raise ManifestError(f"unknown mock policy {text!r}")
     name, parse = _MOCK_ARGS[kind]
-    return {"policy": kind, name: parse(rest)} if rest else {"policy": kind}
+    try:
+        return {"policy": kind, name: parse(rest)} if rest else {"policy": kind}
+    except ValueError as exc:
+        raise ManifestError(f"bad --mock value {text!r}: {exc}") from exc
 
 
 def render_prompts(corpus: Corpus, template, seed: int,
@@ -166,8 +177,16 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     Manifest and corpus problems fail fast, before the run directory is
     written: unusable inference settings or endpoint URL raise
     ManifestError. Per-item inference failures are recorded in the outputs
-    and ledger without aborting. With resume on, prompts that already have
-    persisted outputs are not dispatched again.
+    and ledger without aborting.
+
+    Each finished combo leaves a marker, fingerprints/<stem>.json, holding
+    its fingerprint (_combo_fingerprint) and the SHA-256 of its four
+    artifacts. With resume on, a combo whose marker matches and whose
+    artifacts still hash to the recorded digests is skipped: its report and
+    ledger are read back and nothing is rendered, dispatched or written.
+    Otherwise the combo runs again, reusing persisted outputs segment by
+    segment only when its marker names the same fingerprint or there is no
+    marker at all.
     """
     try:
         base_cfg = InferenceConfig(**manifest.inference)
@@ -192,7 +211,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
                               seed=manifest.seed)
 
     out = Path(manifest.out_dir)
-    for sub in ("prompts", "outputs", "extractions", "reports"):
+    for sub in ("prompts", "outputs", "extractions", "reports", "fingerprints"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     write_json(out / "manifest.json", manifest.to_dict())
 
@@ -241,19 +260,42 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     if "max_context_tokens" not in manifest.inference:
         cfg = replace(cfg, max_context_tokens=_context_default(tid))
 
-    prompts = render_prompts(corpus, template, seed, manifest.icl_seed)
-
     stem = f"{pair}__{tid.value}__{_safe(cfg.model_name)}__seed{seed}"
-    prompts_path = out / "prompts" / f"{pair}__{tid.value}__v{template.version}__seed{seed}.jsonl"
-    outputs_path = out / "outputs" / f"{stem}.jsonl"
-    extractions_path = out / "extractions" / f"{stem}.jsonl"
-    report_path = out / "reports" / f"{stem}.json"
+    artifacts = {
+        "prompts": out / "prompts" / f"{pair}__{tid.value}__v{template.version}__seed{seed}.jsonl",
+        "outputs": out / "outputs" / f"{stem}.jsonl",
+        "extractions": out / "extractions" / f"{stem}.jsonl",
+        "report": out / "reports" / f"{stem}.json",
+    }
+    marker_path = out / "fingerprints" / f"{stem}.json"
+    fingerprint = _combo_fingerprint(manifest, corpus, template, cfg)
+    marker = _read_marker(marker_path)
+    matches = marker is not None and marker.get("fingerprint") == fingerprint
+    if (manifest.resume and matches
+            and _artifacts_unchanged(artifacts, marker.get("artifacts"))):
+        doc = json.loads(artifacts["report"].read_text(encoding="utf-8"))
+        report = (CorrelationReport.from_dict(doc["report"])
+                  if doc["report"] is not None else None)
+        log(f"{pair}/{tid.value}: skipped, finished under the same "
+            "fingerprint")
+        return 0, report, ExclusionLedger.from_dict(doc["ledger"]), doc.get("error")
 
-    write_jsonl(prompts_path, (p.to_dict() for p in prompts))
+    # Persisted outputs are reused only on resume, and only when the marker
+    # names this fingerprint or, in a directory from before markers, there
+    # is none. Claiming the combo before anything is rewritten keeps a run
+    # killed in the middle from leaving outputs under another's marker.
+    reuse = manifest.resume and (matches or marker is None)
+    if not reuse:
+        artifacts["outputs"].unlink(missing_ok=True)
+    write_json(marker_path, {"fingerprint": fingerprint, "artifacts": {}})
+
+    prompts = render_prompts(corpus, template, seed, manifest.icl_seed)
+    digests = {"prompts": write_jsonl(artifacts["prompts"],
+                                      (p.to_dict() for p in prompts))}
 
     persisted: dict[int, ModelOutput] = {}
-    if manifest.resume and outputs_path.exists():
-        for d in read_jsonl(outputs_path):
+    if reuse and artifacts["outputs"].exists():
+        for d in read_jsonl(artifacts["outputs"]):
             output = ModelOutput.from_dict(d)
             persisted[output.prompt_ref.segment_id] = output
 
@@ -265,12 +307,14 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     for output in fresh:
         by_segment[output.prompt_ref.segment_id] = output
     outputs = [by_segment[p.target_segment_id] for p in prompts]
-    write_jsonl(outputs_path, (o.to_dict() for o in outputs))
+    digests["outputs"] = write_jsonl(artifacts["outputs"],
+                                     (o.to_dict() for o in outputs))
     log(f"{pair}/{tid.value}: {dispatched} dispatched, "
         f"{len(persisted)} resumed")
 
     results, ledger = extract_batch(outputs, model=cfg.model_name)
-    write_jsonl(extractions_path, (r.to_dict() for r in results))
+    digests["extractions"] = write_jsonl(artifacts["extractions"],
+                                         (r.to_dict() for r in results))
 
     gold_by_id = {seg.id: seg.da_mean for seg in corpus.test}
     report = None
@@ -283,8 +327,64 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
         error = f"{type(exc).__name__}: {exc}"
         doc = {"report": None, "ledger": ledger.to_dict(), "error": error}
         log(f"{pair}/{tid.value}: evaluation failed: {error}")
-    write_json(report_path, doc)
+    digests["report"] = write_json(artifacts["report"], doc)
+    write_json(marker_path, {"fingerprint": fingerprint, "artifacts": digests})
     return dispatched, report, ledger, error
+
+
+def _combo_fingerprint(manifest: RunManifest, corpus: Corpus, template,
+                      cfg: InferenceConfig) -> str:
+    """SHA-256 over every input a (pair, template) combo's artifacts depend
+    on: the template's id, version and body; the pair's TSV bytes and
+    column map (Corpus.digest); seed and the effective icl_seed; the
+    reply-shaping inference settings; and the mock spec.
+
+    Left out on purpose: out_dir, resume, paths and the transport knobs
+    (timeouts, retries, max_in_flight), which change how replies arrive but
+    not what they say. Also not covered: the qeharness code version and a
+    backend object passed to run().
+    """
+    doc = {
+        "template": [template.id.value, template.version, template.body],
+        "corpus": corpus.digest,
+        "seed": manifest.seed,
+        "icl_seed": manifest.seed if manifest.icl_seed is None else manifest.icl_seed,
+        "inference": [cfg.model_name, float(cfg.temperature),
+                      cfg.max_new_tokens, cfg.max_context_tokens],
+        "mock": manifest.mock,
+    }
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _read_marker(path: Path) -> dict | None:
+    """The combo marker at path: None when there is none, {} when it does
+    not parse (which matches no fingerprint)."""
+    try:
+        marker = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):
+        return {}
+    return marker if isinstance(marker, dict) else {}
+
+
+def _artifacts_unchanged(paths: dict, recorded) -> bool:
+    """Whether each artifact still hashes to the digest the marker
+    recorded for it."""
+    return (isinstance(recorded, dict) and recorded.keys() == paths.keys()
+            and all(_sha256_of(paths[k]) == recorded[k] for k in paths))
+
+
+def _sha256_of(path: Path) -> str | None:
+    digest = hashlib.sha256()
+    try:
+        with path.open("rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.hexdigest()
 
 
 def _safe(name: str) -> str:

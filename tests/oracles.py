@@ -3,12 +3,13 @@
 These deliberately share no code with the implementations they check:
 exactly-rounded fsum for moments, quadratic pair enumeration for tau, a
 from-scratch ranking for Spearman, Simpson quadrature of the Student t
-density for p-values, and a per-pick re-hashing copy of the ICL exemplar
-selection.
+density for p-values, a per-pick re-hashing copy of the ICL exemplar
+selection, and a csv.DictReader reading of corpus TSVs.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 
@@ -142,3 +143,37 @@ def icl_selection_oracle(train, pair: str, count: int, seed: int,
         picks.append(pick(populated[-1]))
     picks.sort(key=lambda p: (p[0], p[1][1], p[1][0]))
     return [(seg_id, labels[b]) for b, (seg_id, _) in picks], substitutions
+
+
+def load_corpus_oracle(path, columns=("original", "translation", "mean")):
+    """A corpus TSV read through csv.DictReader, with the row rules of the
+    loader: ([(segment id, source, translation, score)], [(row, reason)]),
+    or ("MissingColumn", name) when the header lacks a column."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh, dialect="excel-tab")
+        header = reader.fieldnames or []
+        for col in columns:
+            if col not in header:
+                return ("MissingColumn", col)
+        segments, diagnostics = [], []
+        for row_idx, row in enumerate(reader, start=1):
+            source, translation, raw_score = (
+                (row.get(col) or "").strip() for col in columns)
+            reason = None
+            if not source:
+                reason = "EmptySource"
+            elif not translation:
+                reason = "EmptyTranslation"
+            else:
+                try:
+                    score = float(raw_score)
+                except ValueError:
+                    reason = "BadNumber"
+                else:
+                    if not (0.0 <= score <= 100.0):
+                        reason = "OutOfRange"
+            if reason is None:
+                segments.append((row_idx, source, translation, score))
+            else:
+                diagnostics.append((row_idx, reason))
+    return segments, diagnostics

@@ -1,0 +1,285 @@
+"""Resume over a run directory: finished combos whose fingerprint and
+artifacts match are skipped without a write, and a combo finished under
+other settings is dispatched again instead of reusing its outputs."""
+
+from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+import qeharness
+import qeharness.pipeline as pipeline
+from qeharness.gateway import EchoScore, MockBackend
+from qeharness.pipeline import RunManifest, run
+
+from conftest import synthetic_corpus, write_corpus_manifest
+
+N_TEST = 20
+TEMPLATES = ("ag", "ag_icl3")
+ARTIFACT_DIRS = ("prompts", "outputs", "extractions", "reports")
+
+
+def _manifest(tmp_path, **changes) -> RunManifest:
+    data = tmp_path / "data"
+    if not data.exists():
+        write_corpus_manifest(data, [synthetic_corpus("en-gu", n_train=60,
+                                                      n_test=N_TEST)])
+    doc = {
+        "corpora_manifest": str(data / "corpora.jsonl"),
+        "templates": list(TEMPLATES),
+        "out_dir": str(tmp_path / "run"),
+        "seed": 7,
+        "inference": {"model_name": "mock-model", "max_in_flight": 4,
+                      "retry_backoff_base": 0.0},
+        "mock": {"policy": "echo-score"},
+        "resume": True,
+    }
+    inference = changes.pop("inference", {})
+    doc.update(changes)
+    doc["inference"] = {**doc["inference"], **inference}
+    return RunManifest.from_dict(doc)
+
+
+def _artifact_stats(out: Path) -> dict:
+    return {p: (p.stat().st_mtime_ns, p.stat().st_ino)
+            for sub in ARTIFACT_DIRS + ("fingerprints",)
+            for p in sorted((out / sub).iterdir())}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the pipeline's renders and JSONL writes."""
+    counts = {"render": 0, "write_jsonl": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "render_prompts",
+                        counting("render", pipeline.render_prompts))
+    monkeypatch.setattr(pipeline, "write_jsonl",
+                        counting("write_jsonl", pipeline.write_jsonl))
+    return counts
+
+
+def _flip_last_digit(path: Path) -> None:
+    """Change the file's last ASCII digit, keeping it valid JSON."""
+    data = bytearray(path.read_bytes())
+    at = max(i for i, b in enumerate(data) if 0x30 <= b <= 0x39)
+    data[at] = 0x30 + (data[at] - 0x30 + 1) % 10
+    path.write_bytes(bytes(data))
+
+
+# -- the skip ------------------------------------------------------------------
+
+def test_noop_resume_writes_no_artifact(tmp_path, counted):
+    manifest = _manifest(tmp_path)
+    first = run(manifest)
+    assert first.inference_calls == N_TEST * len(TEMPLATES)
+    out = Path(manifest.out_dir)
+    before = _artifact_stats(out)
+    counted.update(render=0, write_jsonl=0)
+
+    again = run(manifest)
+    assert again.inference_calls == 0
+    assert counted == {"render": 0, "write_jsonl": 0}
+    assert _artifact_stats(out) == before
+    assert again.reports == first.reports
+    assert again.ledgers == first.ledgers
+    assert "en-gu/ag: skipped" in (out / "log.txt").read_text()
+
+
+def test_noop_resume_reproduces_summary(tmp_path):
+    manifest = _manifest(tmp_path, mock={"policy": "garbage", "p": 0.3})
+    run(manifest)
+    summary = Path(manifest.out_dir) / "summary.json"
+    before = summary.read_text(encoding="utf-8")
+    assert run(manifest).inference_calls == 0
+    after = summary.read_text(encoding="utf-8")
+    calls = f'"inference_calls": {N_TEST * len(TEMPLATES)}'
+    assert calls in before
+    assert after == before.replace(calls, '"inference_calls": 0')
+
+
+def test_noop_resume_of_a_failed_evaluation_keeps_its_error(tmp_path):
+    manifest = _manifest(tmp_path, templates=["ag"],
+                         mock={"policy": "fixed", "text": "no score"})
+    first = run(manifest)
+    assert first.errors
+    again = run(manifest)
+    assert again.inference_calls == 0
+    assert again.errors == first.errors
+    assert again.reports == []
+    assert again.ledgers == first.ledgers
+
+
+def test_changed_max_in_flight_still_skips(tmp_path, counted):
+    run(_manifest(tmp_path))
+    counted.update(render=0, write_jsonl=0)
+    again = run(_manifest(tmp_path, inference={"max_in_flight": 1,
+                                               "request_timeout": 5.0}))
+    assert again.inference_calls == 0
+    assert counted == {"render": 0, "write_jsonl": 0}
+
+
+@pytest.mark.parametrize("kind", ARTIFACT_DIRS)
+def test_changed_artifact_takes_the_full_path(tmp_path, counted, kind):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    out = Path(manifest.out_dir)
+    path = next((out / kind).iterdir())
+    original = path.read_bytes()
+    _flip_last_digit(path)
+    counted.update(render=0, write_jsonl=0)
+
+    result = run(manifest)
+    # the marker names this fingerprint, so the outputs are reused
+    assert result.inference_calls == 0
+    assert counted == {"render": 1, "write_jsonl": 3}
+    if kind != "outputs":
+        assert path.read_bytes() == original
+    # the rewritten artifacts are recorded, so the next resume skips
+    counted.update(render=0, write_jsonl=0)
+    run(manifest)
+    assert counted == {"render": 0, "write_jsonl": 0}
+
+
+def test_deleted_marker_takes_the_full_path(tmp_path, counted):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    marker = next((Path(manifest.out_dir) / "fingerprints").iterdir())
+    recorded = marker.read_bytes()
+    marker.unlink()
+    counted.update(render=0, write_jsonl=0)
+    # without a marker, persisted outputs are reused segment by segment
+    assert run(manifest).inference_calls == 0
+    assert counted == {"render": 1, "write_jsonl": 3}
+    assert marker.read_bytes() == recorded
+
+
+# -- inputs the fingerprint covers ----------------------------------------------
+
+def _copied_templates(tmp_path) -> Path:
+    template_dir = tmp_path / "templates"
+    if not template_dir.exists():
+        shutil.copytree(Path(qeharness.__file__).parent / "templates",
+                        template_dir)
+    return template_dir
+
+
+def _edit_template_body(tmp_path):
+    path = _copied_templates(tmp_path) / "ag.txt"
+    path.write_text(path.read_text(encoding="utf-8") + "\nBe brief.\n",
+                    encoding="utf-8")
+
+
+def _bump_template_version(tmp_path):
+    path = _copied_templates(tmp_path) / "manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["ag"]["version"] = "1.0.1"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _edit_tsv_row(split):
+    def edit(tmp_path):
+        path = tmp_path / "data" / f"en-gu.{split}.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3].replace("sentence", "phrase", 1)
+        path.write_text("".join(lines), encoding="utf-8")
+    return edit
+
+
+@pytest.mark.parametrize("edit,changes", [
+    (_edit_template_body, {}),
+    (_bump_template_version, {}),
+    (_edit_tsv_row("test"), {}),
+    (_edit_tsv_row("train"), {}),
+    (None, {"inference": {"max_new_tokens": 64}}),
+    (None, {"inference": {"temperature": 0.85}}),
+    (None, {"inference": {"max_context_tokens": 3000}}),
+    (None, {"mock": {"policy": "echo-score", "offset": 5}}),
+    (None, {"seed": 8}),
+    (None, {"icl_seed": 3}),
+], ids=["template-body", "template-version", "test-tsv", "train-tsv",
+        "max-new-tokens", "temperature", "max-context-tokens", "mock-offset",
+        "seed", "icl-seed"])
+def test_changed_input_dispatches_every_prompt(tmp_path, edit, changes):
+    template_dir = str(_copied_templates(tmp_path))
+    run(_manifest(tmp_path, templates=["ag"], template_dir=template_dir))
+    if edit is not None:
+        edit(tmp_path)
+    again = run(_manifest(tmp_path, templates=["ag"],
+                          template_dir=template_dir, **changes))
+    assert again.inference_calls == N_TEST
+
+
+# -- stale and colliding resume ---------------------------------------------------
+
+def test_resume_under_another_temperature_dispatches_again(tmp_path):
+    run(_manifest(tmp_path))
+    again = run(_manifest(tmp_path, inference={"temperature": 0.85}))
+    assert again.inference_calls == N_TEST * len(TEMPLATES)
+
+
+def test_resume_under_another_mock_offset_dispatches_again(tmp_path):
+    run(_manifest(tmp_path))
+    again = run(_manifest(tmp_path,
+                          mock={"policy": "echo-score", "offset": 5}))
+    assert again.inference_calls == N_TEST * len(TEMPLATES)
+    out = Path(_manifest(tmp_path).out_dir)
+    rows = [json.loads(line) for line in
+            next((out / "outputs").glob("*__ag__*")).read_text().splitlines()]
+    gold = {seg.id: seg.da_mean for seg in
+            synthetic_corpus("en-gu", n_train=60, n_test=N_TEST).test}
+    assert all(row["raw_text"] == f"Score: {round(gold[seg] + 5, 1)}"
+               for row in rows
+               for seg in [row["prompt_ref"]["segment_id"]])
+
+
+def test_resume_over_a_colliding_model_name_dispatches_again(tmp_path):
+    run(_manifest(tmp_path, inference={"model_name": "org/m"}))
+    again = run(_manifest(tmp_path, inference={"model_name": "org_m"}))
+    assert again.inference_calls == N_TEST * len(TEMPLATES)
+    assert {r.model for r in again.reports} == {"org_m"}
+
+
+def test_outputs_left_by_a_crashed_run_are_not_reused(tmp_path, monkeypatch):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("killed after the outputs were written")
+
+    # a run under another temperature dies between its outputs and its
+    # marker; its outputs must not pass for the first run's
+    monkeypatch.setattr(pipeline, "extract_batch", crash)
+    with pytest.raises(RuntimeError):
+        run(_manifest(tmp_path, templates=["ag"],
+                      inference={"temperature": 0.85}))
+    monkeypatch.undo()
+    assert run(manifest).inference_calls == N_TEST
+
+
+def test_marker_written_before_dispatch_claims_the_combo(tmp_path):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    # a backend without gold scores raises on its first call
+    with pytest.raises(KeyError):
+        run(_manifest(tmp_path, templates=["ag"],
+                      inference={"temperature": 0.85}),
+            backend=MockBackend(EchoScore(), gold={}))
+    assert run(manifest).inference_calls == N_TEST
+
+
+def test_unreadable_marker_reuses_nothing(tmp_path):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    marker = next((Path(manifest.out_dir) / "fingerprints").iterdir())
+    marker.write_text('{"fingerprint": ', encoding="utf-8")
+    assert run(manifest).inference_calls == N_TEST
+    assert run(manifest).inference_calls == 0

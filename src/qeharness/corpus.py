@@ -20,7 +20,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import FileUnreadable, MissingColumn, RowParseError, ScoreOutOfRange
+from .errors import (FileUnreadable, ManifestError, MissingColumn,
+                     RowParseError, ScoreOutOfRange)
 
 log = logging.getLogger(__name__)
 
@@ -299,6 +300,12 @@ def _write_atomic(path: str | Path, chunks: Iterable[str]) -> str:
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield the JSON object on each non-blank line of path. An unreadable
     file raises FileUnreadable, a torn or non-object line RowParseError."""
+    for _, rec in _numbered_jsonl(path):
+        yield rec
+
+
+def _numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """read_jsonl's objects, each with its 1-based line number."""
     path = Path(path)
     try:
         fh = path.open("r", encoding="utf-8")
@@ -315,7 +322,7 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                                     f"bad JSON in {path}: {exc}") from exc
             if not isinstance(rec, dict):
                 raise RowParseError(lineno, f"not a JSON object in {path}")
-            yield rec
+            yield lineno, rec
 
 
 # -- corpus manifest ---------------------------------------------------------
@@ -333,18 +340,28 @@ class CorpusEntry:
 def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
     """Parse a line-oriented manifest: one JSON record per line with fields
     pair / train / test and an optional columns map. Relative paths resolve
-    against the manifest's directory."""
+    against the manifest's directory. A record whose fields do not parse
+    raises ManifestError naming its line."""
     path = Path(path)
     entries = []
-    for rec in read_jsonl(path):
+    for lineno, rec in _numbered_jsonl(path):
         for key in ("pair", "train", "test"):
             if key not in rec:
                 raise MissingColumn(key)
+        columns = rec.get("columns", {})
+        if not (all(isinstance(rec[k], str) for k in ("pair", "train", "test"))
+                and isinstance(columns, dict)):
+            raise ManifestError(f"{path} line {lineno}: pair, train and test "
+                                "must be strings and columns an object")
+        try:
+            pair = LangPair.parse(rec["pair"])
+        except ValueError as exc:
+            raise ManifestError(f"{path} line {lineno}: {exc}") from exc
         entries.append(CorpusEntry(
-            pair=LangPair.parse(rec["pair"]),
+            pair=pair,
             train_path=(path.parent / rec["train"]).resolve(),
             test_path=(path.parent / rec["test"]).resolve(),
-            column_map=ColumnMap.from_dict(rec.get("columns", {})),
+            column_map=ColumnMap.from_dict(columns),
         ))
     return entries
 

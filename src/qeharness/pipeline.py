@@ -56,6 +56,19 @@ PAIR_ORDER = ("en-gu", "en-hi", "en-mr", "en-ta", "en-te",
               "et-en", "ne-en", "si-en")
 
 
+# JSON types a run manifest's typed fields accept, matched exactly (a bool
+# is no int here), with how an error names them
+_FIELD_TYPES = {
+    "corpora_manifest": ((str,), "a string"),
+    "out_dir": ((str,), "a string"),
+    "template_dir": ((str, type(None)), "a string or null"),
+    "seed": ((int,), "an integer"),
+    "icl_seed": ((int, type(None)), "an integer or null"),
+    "mock": ((dict, type(None)), "an object or null"),
+    "resume": ((bool,), "true or false"),
+}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a run; serialized alongside outputs."""
@@ -78,7 +91,7 @@ class RunManifest:
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
         """The manifest a JSON object encodes; keys that name no field are
-        ignored."""
+        ignored, and a field of the wrong type raises ManifestError."""
         if not isinstance(d, dict):
             raise ManifestError("run manifest must be a JSON object")
         try:
@@ -87,10 +100,18 @@ class RunManifest:
             raise ManifestError(f"bad templates field: {exc}") from exc
         if "corpora_manifest" not in d or "out_dir" not in d:
             raise ManifestError("manifest needs corpora_manifest and out_dir")
+        for name, (types, wanted) in _FIELD_TYPES.items():
+            if name in d and type(d[name]) not in types:
+                raise ManifestError(f"{name} must be {wanted}, got {d[name]!r}")
+        pairs = d.get("pairs")
+        if pairs is not None and not (isinstance(pairs, list) and all(
+                isinstance(p, str) for p in pairs)):
+            raise ManifestError(
+                f"pairs must be a list of strings or null, got {pairs!r}")
         known = {f.name for f in fields(cls)}
         given = {k: v for k, v in d.items() if k in known}
         return cls(**{**given, "templates": templates,
-                      "pairs": tuple(d["pairs"]) if d.get("pairs") else None})
+                      "pairs": tuple(pairs) if pairs else None})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunManifest":
@@ -185,8 +206,8 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     artifacts still hash to the recorded digests is skipped: its report and
     ledger are read back and nothing is rendered, dispatched or written.
     Otherwise the combo runs again, reusing persisted outputs segment by
-    segment only when its marker names the same fingerprint or there is no
-    marker at all.
+    segment only when its marker names the same fingerprint; a missing
+    marker, or one naming another fingerprint, reuses none.
     """
     try:
         base_cfg = InferenceConfig(**manifest.inference)
@@ -269,10 +290,9 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     }
     marker_path = out / "fingerprints" / f"{stem}.json"
     fingerprint = _combo_fingerprint(manifest, corpus, template, cfg)
-    marker = _read_marker(marker_path)
-    matches = marker is not None and marker.get("fingerprint") == fingerprint
-    if (manifest.resume and matches
-            and _artifacts_unchanged(artifacts, marker.get("artifacts"))):
+    marker = _read_marker(marker_path) if manifest.resume else {}
+    matches = marker.get("fingerprint") == fingerprint
+    if matches and _artifacts_unchanged(artifacts, marker.get("artifacts")):
         doc = json.loads(artifacts["report"].read_text(encoding="utf-8"))
         report = (CorrelationReport.from_dict(doc["report"])
                   if doc["report"] is not None else None)
@@ -280,12 +300,10 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
             "fingerprint")
         return 0, report, ExclusionLedger.from_dict(doc["ledger"]), doc.get("error")
 
-    # Persisted outputs are reused only on resume, and only when the marker
-    # names this fingerprint or, in a directory from before markers, there
-    # is none. Claiming the combo before anything is rewritten keeps a run
+    # Only outputs the marker vouches for are kept, to be reused segment by
+    # segment. Claiming the combo before anything is rewritten keeps a run
     # killed in the middle from leaving outputs under another's marker.
-    reuse = manifest.resume and (matches or marker is None)
-    if not reuse:
+    if not matches:
         artifacts["outputs"].unlink(missing_ok=True)
     write_json(marker_path, {"fingerprint": fingerprint, "artifacts": {}})
 
@@ -294,7 +312,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
                                       (p.to_dict() for p in prompts))}
 
     persisted: dict[int, ModelOutput] = {}
-    if reuse and artifacts["outputs"].exists():
+    if artifacts["outputs"].exists():
         for d in read_jsonl(artifacts["outputs"]):
             output = ModelOutput.from_dict(d)
             persisted[output.prompt_ref.segment_id] = output
@@ -336,8 +354,8 @@ def _combo_fingerprint(manifest: RunManifest, corpus: Corpus, template,
                       cfg: InferenceConfig) -> str:
     """SHA-256 over every input a (pair, template) combo's artifacts depend
     on: the template's id, version and body; the pair's TSV bytes and
-    column map (Corpus.digest); seed and the effective icl_seed; the
-    reply-shaping inference settings; and the mock spec.
+    column map (Corpus.digest); seed, and for ICL the effective icl_seed;
+    the reply-shaping inference settings; and the mock spec.
 
     Left out on purpose: out_dir, resume, paths and the transport knobs
     (timeouts, retries, max_in_flight), which change how replies arrive but
@@ -348,22 +366,22 @@ def _combo_fingerprint(manifest: RunManifest, corpus: Corpus, template,
         "template": [template.id.value, template.version, template.body],
         "corpus": corpus.digest,
         "seed": manifest.seed,
-        "icl_seed": manifest.seed if manifest.icl_seed is None else manifest.icl_seed,
         "inference": [cfg.model_name, float(cfg.temperature),
                       cfg.max_new_tokens, cfg.max_context_tokens],
         "mock": manifest.mock,
     }
+    if template.id in ICL_TEMPLATES:  # only exemplar selection reads it
+        doc["icl_seed"] = (manifest.seed if manifest.icl_seed is None
+                           else manifest.icl_seed)
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _read_marker(path: Path) -> dict | None:
-    """The combo marker at path: None when there is none, {} when it does
-    not parse (which matches no fingerprint)."""
+def _read_marker(path: Path) -> dict:
+    """The combo marker at path, or {} (which matches no fingerprint) when
+    it is missing, unreadable or not a JSON object."""
     try:
         marker = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return None
     except (OSError, ValueError):
         return {}
     return marker if isinstance(marker, dict) else {}

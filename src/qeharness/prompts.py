@@ -130,12 +130,19 @@ def load_templates(directory: str | Path | None = None,
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise TemplateInvalid(f"bad JSON in {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise TemplateInvalid(f"{manifest_path} is not a JSON object")
 
     templates = {}
     for tid in TemplateId:
         entry = manifest.get(tid.value)
         if entry is None:
             raise TemplateMissing(f"manifest has no entry for {tid.value}")
+        if not (isinstance(entry, dict) and all(
+                isinstance(entry.get(k), str) for k in ("file", "version"))):
+            raise TemplateInvalid(
+                f"{manifest_path}: entry {tid.value} needs string file and "
+                f"version fields, got {entry!r}")
         body_path = directory / entry["file"]
         if not body_path.is_file():
             raise TemplateMissing(f"template file missing: {body_path}")
@@ -358,12 +365,7 @@ def render_icl(template: PromptTemplate, exemplars: list[IclExemplar],
     """
     if template.id not in ICL_TEMPLATES:
         raise ValueError(f"{template.id.value} is not an ICL template")
-    expected = ICL_EXEMPLAR_COUNTS[template.id]
-    if len(exemplars) != expected:
-        raise ExemplarCountMismatch(
-            f"{template.id.value} needs {expected} exemplars, "
-            f"got {len(exemplars)}")
-
+    # RenderedPrompt checks the exemplar count
     ordered, block = _exemplar_block(exemplars)
     text = _substitute(template.body, segment, block)
     return RenderedPrompt(template=template.id, text=text,

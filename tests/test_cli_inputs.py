@@ -1,12 +1,15 @@
-"""Malformed mock values and proxy settings exit through cli.main as typed
-errors, before any run directory is written."""
+"""Malformed mock values, proxy settings and manifest fields exit through
+cli.main as typed errors, before any run directory is written."""
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import qeharness
 from qeharness.cli import main
 
 from conftest import synthetic_corpus, write_corpus_manifest
@@ -57,4 +60,73 @@ def test_malformed_proxy_variable_is_manifest_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error[ManifestError]" in err
     assert "HTTP_PROXY" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field", [
+    {"mock": "echo-score"},
+    {"seed": "one"},
+    {"seed": True},
+    {"seed": 1.5},
+    {"icl_seed": "two"},
+    {"icl_seed": False},
+    {"pairs": "en-gu"},
+    {"pairs": ["en-gu", 3]},
+    {"resume": "yes"},
+    {"resume": 1},
+    {"out_dir": 5},
+    {"corpora_manifest": None},
+    {"template_dir": ["templates"]},
+], ids=lambda field: "{}={!r}".format(*next(iter(field.items()))))
+def test_mistyped_run_manifest_field_is_manifest_error(tmp_path, capsys,
+                                                       field):
+    manifest = _run_manifest_file(
+        tmp_path, **{"mock": {"policy": "echo-score"}, **field})
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert next(iter(field)) in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"pair": "english-gu"},
+    {"pair": 7},
+    {"columns": ["x"]},
+    {"train": 1},
+    {"test": None},
+], ids=["pair-code", "pair-int", "columns-list", "train-int", "test-null"])
+def test_bad_corpus_manifest_record_is_manifest_error(tmp_path, capsys,
+                                                      change):
+    manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"})
+    corpora = tmp_path / "data" / "corpora.jsonl"
+    record = {**json.loads(corpora.read_text(encoding="utf-8")), **change}
+    # a blank first line: the error names the line, not the record
+    corpora.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert f"{corpora} line 2:" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    list,
+    lambda doc: {**doc, "ag": "ag.txt"},
+    lambda doc: {**doc, "ag": {"file": "ag.txt"}},
+    lambda doc: {**doc, "ag": {"file": 3, "version": "1.0.0"}},
+    lambda doc: {**doc, "ag": {"file": "ag.txt", "version": None}},
+], ids=["list", "string-entry", "no-version", "file-not-string",
+        "version-null"])
+def test_bad_template_manifest_is_template_invalid(tmp_path, capsys, edit):
+    template_dir = tmp_path / "templates"
+    shutil.copytree(Path(qeharness.__file__).parent / "templates",
+                    template_dir)
+    path = template_dir / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))),
+                    encoding="utf-8")
+    manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"},
+                                  template_dir=str(template_dir))
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    assert "error[TemplateInvalid]" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

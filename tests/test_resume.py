@@ -155,11 +155,12 @@ def test_deleted_marker_takes_the_full_path(tmp_path, counted):
     marker = next((Path(manifest.out_dir) / "fingerprints").iterdir())
     recorded = marker.read_bytes()
     marker.unlink()
-    counted.update(render=0, write_jsonl=0)
-    # without a marker, persisted outputs are reused segment by segment
-    assert run(manifest).inference_calls == 0
-    assert counted == {"render": 1, "write_jsonl": 3}
+    # without a marker nothing vouches for the persisted outputs
+    assert run(manifest).inference_calls == N_TEST
     assert marker.read_bytes() == recorded
+    counted.update(render=0, write_jsonl=0)
+    assert run(manifest).inference_calls == 0
+    assert counted == {"render": 0, "write_jsonl": 0}
 
 
 # -- inputs the fingerprint covers ----------------------------------------------
@@ -204,10 +205,9 @@ def _edit_tsv_row(split):
     (None, {"inference": {"max_context_tokens": 3000}}),
     (None, {"mock": {"policy": "echo-score", "offset": 5}}),
     (None, {"seed": 8}),
-    (None, {"icl_seed": 3}),
 ], ids=["template-body", "template-version", "test-tsv", "train-tsv",
         "max-new-tokens", "temperature", "max-context-tokens", "mock-offset",
-        "seed", "icl-seed"])
+        "seed"])
 def test_changed_input_dispatches_every_prompt(tmp_path, edit, changes):
     template_dir = str(_copied_templates(tmp_path))
     run(_manifest(tmp_path, templates=["ag"], template_dir=template_dir))
@@ -216,6 +216,18 @@ def test_changed_input_dispatches_every_prompt(tmp_path, edit, changes):
     again = run(_manifest(tmp_path, templates=["ag"],
                           template_dir=template_dir, **changes))
     assert again.inference_calls == N_TEST
+
+
+def test_changed_icl_seed_dispatches_only_icl_prompts(tmp_path, counted):
+    run(_manifest(tmp_path))
+    counted.update(render=0, write_jsonl=0)
+    again = run(_manifest(tmp_path, icl_seed=3))
+    assert again.inference_calls == N_TEST
+    assert counted == {"render": 1, "write_jsonl": 3}
+    log = (Path(_manifest(tmp_path).out_dir) / "log.txt").read_text()
+    resumed = log.split("run start")[-1]
+    assert "en-gu/ag: skipped" in resumed
+    assert f"en-gu/ag_icl3: {N_TEST} dispatched" in resumed
 
 
 # -- stale and colliding resume ---------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (SCORE_BINS, histogram, load_corpora, read_jsonl,
-                     split_size_warnings, write_json, write_jsonl)
+                     split_size_warnings, write_json, write_jsonl, write_lines)
 from .errors import EmptyTrainSplit, HarnessError, ManifestError
 from .extraction import ExtractionResult, extract_batch, untrustworthy
 from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
@@ -21,7 +21,7 @@ from .metrics import CorrelationReport, evaluate
 from .pipeline import (RunManifest, parse_mock_arg, render_detailed_table,
                        render_prompts, render_table, run, worst_deviations,
                        write_worst_tsv)
-from .prompts import TemplateId, load_templates
+from .prompts import TemplateId, load_templates, prompt_lines
 from .sft_export import SftConfig, SftMode, export
 
 
@@ -136,14 +136,13 @@ def cmd_ingest(args) -> int:
 def cmd_render(args) -> int:
     corpora = load_corpora(_require_manifest(args), pairs=args.pairs)
     template = load_templates(args.template_dir)[TemplateId(args.template)]
-    dicts = [p.to_dict() for corpus in corpora
-             for p in render_prompts(corpus, template, args.seed or 0)]
+    prompts = [p for corpus in corpora
+               for p in render_prompts(corpus, template, args.seed or 0)]
     if args.out:
-        write_jsonl(args.out, dicts)
-        print(f"wrote {len(dicts)} prompts to {args.out}")
+        write_lines(args.out, prompt_lines(prompts))
+        print(f"wrote {len(prompts)} prompts to {args.out}")
     else:
-        sys.stdout.writelines(json.dumps(d, sort_keys=True) + "\n"
-                              for d in dicts)
+        sys.stdout.writelines(prompt_lines(prompts))
     return 0
 
 

@@ -30,7 +30,7 @@ __all__ = [
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
     "write_corpus_tsv", "CorpusEntry", "load_corpus_manifest", "load_corpora",
     "EXPECTED_SPLIT_SIZES", "split_size_warnings", "write_jsonl",
-    "write_json", "read_jsonl",
+    "write_lines", "write_json", "read_jsonl",
 ]
 
 
@@ -265,13 +265,17 @@ _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> str:
-    """Stream one sorted-key JSON object per line to path, atomically (see
-    _write_atomic). Returns the SHA-256 hex digest of the bytes written."""
+    """write_lines with each of dicts as one line of sorted-key JSON."""
     encode = _LINE_ENCODER.encode
-    lines = (encode(d) + "\n" for d in dicts)
-    # 64 lines a chunk: with long ICL prompt lines, chunks of 512 raised a
-    # full run's peak RSS by about 14 MB. A chunk is empty only when the
-    # lines run out.
+    return write_lines(path, (encode(d) + "\n" for d in dicts))
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> str:
+    """Stream lines, each ending in a newline, to path, atomically (see
+    _write_atomic). Returns the SHA-256 hex digest of the bytes written."""
+    lines = iter(lines)
+    # 64 lines a chunk: chunks of 512 long ICL prompt lines raised a full
+    # run's peak RSS by about 14 MB. Only the end of lines gives an empty one.
     return _write_atomic(path, iter(lambda: "".join(islice(lines, 64)), ""))
 
 
@@ -350,9 +354,10 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
                 raise MissingColumn(key)
         columns = rec.get("columns", {})
         if not (all(isinstance(rec[k], str) for k in ("pair", "train", "test"))
-                and isinstance(columns, dict)):
+                and isinstance(columns, dict)
+                and all(isinstance(v, str) for v in columns.values())):
             raise ManifestError(f"{path} line {lineno}: pair, train and test "
-                                "must be strings and columns an object")
+                                "must be strings and columns map to strings")
         try:
             pair = LangPair.parse(rec["pair"])
         except ValueError as exc:

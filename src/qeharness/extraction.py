@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .gateway import ModelOutput, PromptRef, TRANSPORT_OK
 
@@ -46,8 +47,7 @@ _RANGE_BOUND_AFTER = re.compile(r"\s*to\s+100\b", re.IGNORECASE)
 _SCALE_CONST_BEFORE = re.compile(r"(?:\bout\s+of|\bto|/)\s*$", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
     value: float
     start: int          # char offset of the numeral (minus sign excluded)
     end: int
@@ -196,14 +196,17 @@ def extract_batch(outputs: list[ModelOutput], *, model: str = "",
     """One result per output, plus the run's exclusion ledger.
 
     Transport failures become TransportFailed exclusions without touching
-    the (empty) generated text.
+    the (empty) generated text, and each distinct reply is extracted once.
     """
     results = []
+    # extract_score is pure and an Outcome frozen, so outcomes can be shared;
+    # a failed output's key is None
+    outcomes = {None: Outcome(None, REASON_TRANSPORT_FAILED)}
     for out in outputs:
-        if out.transport_status != TRANSPORT_OK:
-            outcome = Outcome(None, REASON_TRANSPORT_FAILED)
-        else:
-            outcome = extract_score(out.raw_text)
+        text = out.raw_text if out.transport_status == TRANSPORT_OK else None
+        outcome = outcomes.get(text)
+        if outcome is None:
+            outcome = outcomes[text] = extract_score(text)
         results.append(ExtractionResult(out.prompt_ref, outcome.score,
                                         outcome.reason, outcome.span))
 

@@ -2,7 +2,7 @@
 
 Exactly one wire protocol is spoken: POST a JSON body with model, a single
 user message, temperature, and max_tokens, and read the generated text from
-choices[0].message.content. Transport failures never escape complete(): every
+choices[0].message.content. Failures never escape complete(): every
 dispatched prompt yields exactly one ModelOutput, failed or not.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import logging
 import math
 import os
 import random
@@ -34,12 +35,13 @@ from .seeding import stable_hash
 __all__ = [
     "API_KEY_ENV_VAR", "TRANSPORT_OK", "FAIL_SERVER_ERROR", "FAIL_CLIENT_ERROR",
     "FAIL_RATE_LIMITED", "FAIL_TIMEOUT", "FAIL_CONNECTION", "FAIL_PROTOCOL",
-    "FAIL_CONTEXT_OVERFLOW", "FAIL_MOCK", "PromptRef", "InferenceConfig",
-    "ModelOutput", "TransportError", "HttpBackend", "MockBackend",
-    "EchoScore", "Fixed", "Garbage", "Fail", "gold_map",
+    "FAIL_CONTEXT_OVERFLOW", "FAIL_MOCK", "FAIL_BACKEND", "PromptRef",
+    "InferenceConfig", "ModelOutput", "TransportError", "HttpBackend",
+    "MockBackend", "EchoScore", "Fixed", "Garbage", "Fail", "gold_map",
     "complete", "complete_batch", "estimate_tokens",
 ]
 
+log = logging.getLogger(__name__)
 API_KEY_ENV_VAR = "QEHARNESS_API_KEY"
 
 TRANSPORT_OK = "ok"
@@ -51,6 +53,7 @@ FAIL_CONNECTION = "ConnectionError"
 FAIL_PROTOCOL = "ProtocolError"
 FAIL_CONTEXT_OVERFLOW = "ContextOverflow"
 FAIL_MOCK = "MockFailure"
+FAIL_BACKEND = "BackendError"  # the backend raised something else
 
 
 @dataclass(frozen=True)
@@ -465,7 +468,8 @@ def complete(config: InferenceConfig, prompt: RenderedPrompt,
     before any network call. Retryable transport failures back off
     exponentially (base doubling, jittered) up to max_retries extra
     attempts; a 429 that names its delay in Retry-After waits that long
-    instead.
+    instead. Any other exception from the backend is logged and fails the
+    prompt, unretried, as BackendError.
     """
     if backend is None:
         with closing(HttpBackend(config)) as backend:
@@ -494,6 +498,10 @@ def complete(config: InferenceConfig, prompt: RenderedPrompt,
             if delay > 0:
                 time.sleep(delay)
             continue
+        except Exception:  # a backend fault fails this prompt, not the run
+            log.warning("backend raised on %s", ref, exc_info=True)
+            failure = FAIL_BACKEND
+            break
         latency = 0.0 if backend.deterministic else time.monotonic() - started
         return ModelOutput(ref, text, latency, attempts, TRANSPORT_OK)
 

@@ -18,7 +18,8 @@ from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import Corpus, load_corpora, read_jsonl, write_json, write_jsonl
+from .corpus import (Corpus, load_corpora, read_jsonl, write_json,
+                     write_jsonl, write_lines)
 from .errors import EndpointMissing, ManifestError, HarnessError
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
                          untrustworthy)
@@ -27,8 +28,8 @@ from .gateway import (EchoScore, Fail, Fixed, Garbage, HttpBackend,
                       gold_map)
 from .metrics import CorrelationReport, Significance, evaluate
 from .prompts import (ICL_TEMPLATES, IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
-                      load_templates, render_icl, render_zero_shot,
-                      select_icl_exemplars)
+                      load_templates, prompt_lines, render_icl,
+                      render_zero_shot, select_icl_exemplars)
 
 __all__ = [
     "ERROR_TAXONOMY", "RunManifest", "RunResult", "run", "build_mock_policy",
@@ -196,9 +197,9 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     """Execute the manifest: render, infer, extract, evaluate, persist.
 
     Manifest and corpus problems fail fast, before the run directory is
-    written: unusable inference settings or endpoint URL raise
-    ManifestError. Per-item inference failures are recorded in the outputs
-    and ledger without aborting.
+    written: no templates, an unknown pair, or unusable inference settings
+    or endpoint URL raise ManifestError. Per-item inference failures are
+    recorded in the outputs and ledger without aborting.
 
     Each finished combo leaves a marker, fingerprints/<stem>.json, holding
     its fingerprint (_combo_fingerprint) and the SHA-256 of its four
@@ -209,6 +210,8 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     segment only when its marker names the same fingerprint; a missing
     marker, or one naming another fingerprint, reuses none.
     """
+    if not manifest.templates:
+        raise ManifestError("manifest lists no templates")
     try:
         base_cfg = InferenceConfig(**manifest.inference)
     except (TypeError, ValueError) as exc:
@@ -223,6 +226,9 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
 
     templates = load_templates(manifest.template_dir)
     corpora = load_corpora(manifest.corpora_manifest, pairs=manifest.pairs)
+    unknown = set(manifest.pairs or ()) - {str(c.pair) for c in corpora}
+    if unknown:
+        raise ManifestError(f"no corpus-manifest entry for {sorted(unknown)}")
     if backend is None:
         if manifest.mock is None:
             raise EndpointMissing(
@@ -308,8 +314,8 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     write_json(marker_path, {"fingerprint": fingerprint, "artifacts": {}})
 
     prompts = render_prompts(corpus, template, seed, manifest.icl_seed)
-    digests = {"prompts": write_jsonl(artifacts["prompts"],
-                                      (p.to_dict() for p in prompts))}
+    digests = {"prompts": write_lines(artifacts["prompts"],
+                                      prompt_lines(prompts))}
 
     persisted: dict[int, ModelOutput] = {}
     if artifacts["outputs"].exists():

@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .corpus import ScoreBin, SCORE_BINS, Segment, Split, bin_of
 from .errors import (EmptyBin, ExemplarCountMismatch, ExemplarLeakage,
@@ -26,7 +27,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "TemplateId", "ZERO_SHOT_TEMPLATES", "ICL_TEMPLATES", "ICL_EXEMPLAR_COUNTS",
     "IclConfig", "PromptTemplate", "IclExemplar", "RenderedPrompt",
-    "LANGUAGE_NAMES", "language_name", "load_templates",
+    "LANGUAGE_NAMES", "language_name", "load_templates", "prompt_lines",
     "render_zero_shot", "select_icl_exemplars", "render_icl",
 ]
 
@@ -176,6 +177,7 @@ class RenderedPrompt:
     target_segment_id: int
     pair: str
     seed: int
+    head: str = field(default="", repr=False, compare=False)  # combo's prefix
 
     def __post_init__(self) -> None:
         expected = ICL_EXEMPLAR_COUNTS.get(self.template, 0)
@@ -194,6 +196,21 @@ class RenderedPrompt:
         }
 
 
+def prompt_lines(prompts: Iterable[RenderedPrompt]) -> Iterator[str]:
+    """Each prompt's line, json.dumps(p.to_dict(), sort_keys=True) + "\\n".
+    JSON escapes text per code point (RFC 8259 section 7), so the head a
+    combo's prompts share is escaped once; each line adds its tail's."""
+    escape = json.encoder.encode_basestring_ascii  # json.dumps' own
+    head, escaped = None, ""
+    for p in prompts:
+        if p.head is not head:
+            head, escaped = p.head, escape(p.head)[:-1]
+        yield (f'{{"pair": {escape(p.pair)}, "seed": {p.seed!r}, '
+               f'"segment_id": {p.target_segment_id!r}, "template": '
+               f'{escape(p.template.value)}, "text": {escaped}'
+               f'{escape(p.text[len(head):])[1:]}}}\n')
+
+
 # an ICL prompt's fill order; a value may hold a later placeholder's name
 _ICL_FILL_ORDER = ("source_lang", "target_lang", "examples", "source_text",
                    "translation_text")
@@ -201,29 +218,40 @@ _ICL_FILL_ORDER = ("source_lang", "target_lang", "examples", "source_text",
 
 @functools.lru_cache(maxsize=16)
 def _fill_combo(body: str, source_lang: str, target_lang: str,
-                examples: str | None) -> str:
-    """body with the placeholders one combo shares filled: the language
-    names and, for an ICL template, the exemplar block."""
+                examples: str | None) -> tuple[str, tuple | None]:
+    """body with the placeholders one combo shares filled (language names,
+    an ICL template's exemplar block), and its pieces around the first
+    {source_text} and the next {translation_text}, or None for the pieces
+    when either is missing or a piece holds a "{"."""
     text = body.replace("{source_lang}", source_lang, 1)
     text = text.replace("{target_lang}", target_lang, 1)
     if examples is not None:
         text = text.replace("{examples}", examples, 1)
-    return text
+    pre, found, rest = text.partition("{source_text}")
+    mid, found_too, post = rest.partition("{translation_text}")
+    spliced = found and found_too and "{" not in pre + mid + post
+    return text, ((pre, mid, post) if spliced else None)
 
 
 def _substitute(body: str, segment: Segment,
-                examples: str | None = None) -> str:
-    """Fill each placeholder once, in _ICL_FILL_ORDER (without examples for
-    a zero-shot prompt), then check that none survived in the final text."""
-    text = _fill_combo(body, language_name(segment.pair.source_lang),
-                       language_name(segment.pair.target_lang), examples)
+                examples: str | None = None) -> tuple[str, str]:
+    """The prompt text and the head it shares with its combo: spliced when
+    neither the pieces nor the segment's texts hold a "{", so no placeholder
+    can survive; else each placeholder's first occurrence is filled in
+    _ICL_FILL_ORDER (examples only for ICL) and a survivor raises."""
+    text, pieces = _fill_combo(body, language_name(segment.pair.source_lang),
+                               language_name(segment.pair.target_lang),
+                               examples)
+    if pieces and "{" not in segment.source + segment.translation:
+        pre, mid, post = pieces
+        return f"{pre}{segment.source}{mid}{segment.translation}{post}", pre
     text = text.replace("{source_text}", segment.source, 1)
     text = text.replace("{translation_text}", segment.translation, 1)
     for name in _TARGET_PLACEHOLDERS if examples is None else _ICL_FILL_ORDER:
         if "{%s}" % name in text:
             raise PlaceholderUnresolved(
                 f"placeholder {{{name}}} survived substitution")
-    return text
+    return text, ""
 
 
 def render_zero_shot(template: PromptTemplate, segment: Segment,
@@ -231,10 +259,10 @@ def render_zero_shot(template: PromptTemplate, segment: Segment,
     """Materialize a zero-shot prompt for one segment."""
     if template.id not in ZERO_SHOT_TEMPLATES:
         raise ValueError(f"{template.id.value} is not a zero-shot template")
-    text = _substitute(template.body, segment)
+    text, head = _substitute(template.body, segment)
     return RenderedPrompt(template=template.id, text=text, exemplars=(),
                           target_segment_id=segment.id,
-                          pair=str(segment.pair), seed=seed)
+                          pair=str(segment.pair), seed=seed, head=head)
 
 
 _ICL3_BINS = (ScoreBin.B0_30, ScoreBin.B71_90, ScoreBin.B91_100)
@@ -367,8 +395,8 @@ def render_icl(template: PromptTemplate, exemplars: list[IclExemplar],
         raise ValueError(f"{template.id.value} is not an ICL template")
     # RenderedPrompt checks the exemplar count
     ordered, block = _exemplar_block(exemplars)
-    text = _substitute(template.body, segment, block)
+    text, head = _substitute(template.body, segment, block)
     return RenderedPrompt(template=template.id, text=text,
                           exemplars=ordered,
                           target_segment_id=segment.id,
-                          pair=str(segment.pair), seed=seed)
+                          pair=str(segment.pair), seed=seed, head=head)

@@ -4,7 +4,8 @@ These deliberately share no code with the implementations they check:
 exactly-rounded fsum for moments, quadratic pair enumeration for tau, a
 from-scratch ranking for Spearman, Simpson quadrature of the Student t
 density for p-values, a per-pick re-hashing copy of the ICL exemplar
-selection, and a csv.DictReader reading of corpus TSVs.
+selection, a csv.DictReader reading of corpus TSVs, and prompt substitution
+by replacing each placeholder in turn.
 """
 
 from __future__ import annotations
@@ -177,3 +178,35 @@ def load_corpus_oracle(path, columns=("original", "translation", "mean")):
             else:
                 diagnostics.append((row_idx, reason))
     return segments, diagnostics
+
+
+# -- prompt substitution -------------------------------------------------------
+
+def substitute_oracle(body: str, source_lang: str, target_lang: str,
+                      source: str, translation: str,
+                      examples: str | None = None):
+    """Reference prompt text: the first occurrence of each placeholder
+    replaced in turn (source_lang, target_lang, examples for an ICL body,
+    source_text, translation_text). Returns the text, or
+    ("PlaceholderUnresolved", name) for the first placeholder in that order
+    that survived."""
+    fills = [("source_lang", source_lang), ("target_lang", target_lang),
+             ("examples", examples), ("source_text", source),
+             ("translation_text", translation)]
+    if examples is None:
+        del fills[2]
+    text = body
+    for name, value in fills:
+        text = text.replace("{%s}" % name, value, 1)
+    for name, _ in fills:
+        if "{%s}" % name in text:
+            return ("PlaceholderUnresolved", name)
+    return text
+
+
+def exemplar_block_oracle(exemplars) -> str:
+    """The exemplar block of (source, translation, score) triples, in the
+    order given."""
+    return "\n\n".join(f'Source text: "{source}"\nTranslation: '
+                       f'"{translation}"\nScore: {score:.1f}'
+                       for source, translation, score in exemplars)

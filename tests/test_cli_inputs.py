@@ -93,9 +93,11 @@ def test_mistyped_run_manifest_field_is_manifest_error(tmp_path, capsys,
     {"pair": "english-gu"},
     {"pair": 7},
     {"columns": ["x"]},
+    {"columns": {"source": 1}},
     {"train": 1},
     {"test": None},
-], ids=["pair-code", "pair-int", "columns-list", "train-int", "test-null"])
+], ids=["pair-code", "pair-int", "columns-list", "columns-value-int",
+        "train-int", "test-null"])
 def test_bad_corpus_manifest_record_is_manifest_error(tmp_path, capsys,
                                                       change):
     manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"})
@@ -129,4 +131,20 @@ def test_bad_template_manifest_is_template_invalid(tmp_path, capsys, edit):
                                   template_dir=str(template_dir))
     assert main(["run", "--manifest", str(manifest)]) == 1
     assert "error[TemplateInvalid]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field,named", [
+    ({"pairs": ["xx-yy"]}, "xx-yy"),
+    ({"pairs": ["en-gu", "en-gx"]}, "en-gx"),
+    ({"templates": []}, "templates"),
+], ids=["unknown-pair", "one-unknown-pair", "no-templates"])
+def test_run_with_nothing_to_do_is_manifest_error(tmp_path, capsys, field,
+                                                  named):
+    manifest = _run_manifest_file(
+        tmp_path, **{"mock": {"policy": "echo-score"}, **field})
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert named in err
     assert not (tmp_path / "run").exists()

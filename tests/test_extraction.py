@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qeharness.extraction import (REASON_AMBIGUOUS, REASON_NO_NUMERIC_MATCH,
                                   REASON_OUT_OF_RANGE, REASON_TRANSPORT_FAILED,
+                                  ExtractionResult, Outcome, exclusion_reasons,
                                   extract_batch, extract_score)
 from qeharness.gateway import (FAIL_SERVER_ERROR, ModelOutput, PromptRef,
                                TRANSPORT_OK)
@@ -174,3 +175,29 @@ def test_extraction_result_round_trips():
     from qeharness.extraction import ExtractionResult
     restored = ExtractionResult.from_dict(results[0].to_dict())
     assert restored == results[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(replies=st.lists(st.one_of(st.text(max_size=30),
+                                  st.sampled_from(["Score: 50", "Score: 200",
+                                                   "no idea", "0 to 100"])),
+                        min_size=1, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                      max_size=40))
+def test_extract_batch_over_repeated_replies_matches_extract_score(replies,
+                                                                   picks):
+    # each reply repeats across outputs; a failed output carries it too
+    outputs = [_output(i, replies[at % len(replies)],
+                       TRANSPORT_OK if ok else FAIL_SERVER_ERROR)
+               for i, (at, ok) in enumerate(picks)]
+    results, ledger = extract_batch(outputs)
+    expected = []
+    for out in outputs:
+        outcome = (extract_score(out.raw_text)
+                   if out.transport_status == TRANSPORT_OK
+                   else Outcome(None, REASON_TRANSPORT_FAILED))
+        expected.append(ExtractionResult(out.prompt_ref, outcome.score,
+                                         outcome.reason, outcome.span))
+    assert results == expected
+    assert ledger.total == len(outputs)
+    assert ledger.reasons == exclusion_reasons(expected)

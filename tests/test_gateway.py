@@ -17,8 +17,9 @@ from qeharness.corpus import LangPair, Segment, Split
 from qeharness.errors import EndpointMissing
 from qeharness.extraction import extract_batch
 from qeharness.gateway import (API_KEY_ENV_VAR, EchoScore, Fail,
-                               FAIL_CLIENT_ERROR, FAIL_CONTEXT_OVERFLOW,
-                               FAIL_MOCK, FAIL_PROTOCOL, FAIL_SERVER_ERROR,
+                               FAIL_BACKEND, FAIL_CLIENT_ERROR,
+                               FAIL_CONTEXT_OVERFLOW, FAIL_MOCK, FAIL_PROTOCOL,
+                               FAIL_SERVER_ERROR,
                                Fixed, Garbage, HttpBackend, InferenceConfig,
                                ModelOutput, PromptRef, TRANSPORT_OK, complete,
                                complete_batch, estimate_tokens, gold_map,
@@ -204,6 +205,33 @@ def test_waiting_mock_dispatches_on_pool():
                           latency=0.005)
     complete_batch(_mock_config(max_in_flight=4), prompts, backend)
     assert backend.max_observed_in_flight > 1
+
+
+@pytest.mark.parametrize("latency", [0.0, 0.002], ids=["inline", "pooled"])
+def test_backend_exception_fails_only_its_prompt(latency):
+    segments, prompts = _prompts(10)
+    # the mock raises KeyError for a segment without a gold score
+    backend = MockBackend(EchoScore(), gold=gold_map(segments[:7]),
+                          latency=latency)
+    outputs = complete_batch(_mock_config(max_in_flight=4), prompts, backend)
+    assert [o.transport_status for o in outputs] == \
+        [TRANSPORT_OK] * 7 + [FAIL_BACKEND] * 3
+    assert [o.attempt_count for o in outputs] == [1] * 10  # never retried
+    assert [o.raw_text for o in outputs[7:]] == [""] * 3
+
+
+def test_run_carries_on_past_a_raising_backend(tmp_path):
+    corpus = synthetic_corpus("en-gu", n_train=40, n_test=10)
+    manifest = RunManifest.from_dict({
+        "corpora_manifest": str(write_corpus_manifest(tmp_path / "data",
+                                                      [corpus])),
+        "templates": ["ag", "te"], "out_dir": str(tmp_path / "run"),
+        "inference": {"model_name": "m", "retry_backoff_base": 0.0}})
+    result = run(manifest, backend=MockBackend(EchoScore(), gold={}))
+    assert result.inference_calls == 20
+    assert [ledger.reasons for ledger in result.ledgers] == \
+        [{"TransportFailed": 10}] * 2
+    assert set(result.errors) == {("en-gu", "ag"), ("en-gu", "te")}
 
 
 def test_context_overflow_short_circuits():

@@ -13,12 +13,14 @@ from qeharness.errors import (EmptyBin, ExemplarCountMismatch, ExemplarLeakage,
                               TemplateMissing)
 from qeharness.pipeline import render_prompts
 from qeharness.prompts import (ICL_TEMPLATES, IclConfig, IclExemplar,
-                               PromptTemplate, TemplateId, language_name,
-                               load_templates, render_icl, render_zero_shot,
-                               select_icl_exemplars)
+                               PromptTemplate, RenderedPrompt, TemplateId,
+                               ZERO_SHOT_TEMPLATES, language_name,
+                               load_templates, prompt_lines, render_icl,
+                               render_zero_shot, select_icl_exemplars)
 
 from conftest import synthetic_corpus, synthetic_segments
-from oracles import OracleEmptyBin, icl_selection_oracle
+from oracles import (OracleEmptyBin, exemplar_block_oracle,
+                     icl_selection_oracle, substitute_oracle)
 
 
 PAIR = LangPair("en", "gu")
@@ -368,3 +370,106 @@ def test_rendered_prompt_dump_fields(templates):
 def test_icl_config_for_template():
     assert IclConfig.for_template(TemplateId.AG_ICL3) is IclConfig.ICL3
     assert IclConfig.for_template(TemplateId.AG_ICL7) is IclConfig.ICL7
+
+
+# -- spliced rendering and prompt lines ---------------------------------------------
+
+# text pieces that include placeholder names, whole and in part, and braces
+_TEXT_PIECES = st.one_of(
+    st.sampled_from(["{source_text}", "{translation_text}", "{source_lang}",
+                     "{target_lang}", "{examples}", "{", "}", "{source_",
+                     "text}", "lang}", '"', "\\", "\n", "\u0a97", " "]),
+    st.text(max_size=4))
+_SEGMENT_TEXT = st.lists(_TEXT_PIECES, min_size=1, max_size=6).map(
+    "".join).filter(str.strip)
+
+# a body with the translation before the source, and one with braces of its
+# own, beside the shipped templates
+_ZERO_SHOT_BODIES = [load_templates()[t].body for t in ZERO_SHOT_TEMPLATES] + [
+    'T: "{translation_text}" S: "{source_text}" {source_lang}>{target_lang}',
+    '{"format": 1} {source_lang} {target_lang}: {source_text} | '
+    '{translation_text}']
+_ICL_BODIES = [load_templates()[TemplateId.AG_ICL5].body,
+               "{source_lang}-{target_lang}\n{examples}\n"
+               "T: {translation_text} S: {source_text}"]
+# one train segment per bin, in prompt order
+_EXEMPLAR_SCORES = (10.0, 40.0, 60.0, 80.0, 95.0)
+
+
+def _oracle_outcome(render):
+    try:
+        return render()
+    except PlaceholderUnresolved as exc:
+        return ("PlaceholderUnresolved", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(icl=st.booleans(), body_at=st.integers(0, len(_ZERO_SHOT_BODIES) - 1),
+       source=_SEGMENT_TEXT, translation=_SEGMENT_TEXT,
+       exemplar_texts=st.lists(st.tuples(_SEGMENT_TEXT, _SEGMENT_TEXT),
+                               min_size=5, max_size=5))
+def test_spliced_render_matches_replace_oracle(icl, body_at, source,
+                                               translation, exemplar_texts):
+    target = Segment(1, source, translation, 50.0, PAIR, Split.TEST)
+    names = (language_name("en"), language_name("gu"))
+    if icl:
+        body = _ICL_BODIES[body_at % len(_ICL_BODIES)]
+        exemplars = [IclExemplar(_seg(i + 10, score, source=src,
+                                      translation=tgt), b)
+                     for i, ((src, tgt), score, b) in enumerate(
+                         zip(exemplar_texts, _EXEMPLAR_SCORES, SCORE_BINS))]
+        block = exemplar_block_oracle(
+            (src, tgt, score)
+            for (src, tgt), score in zip(exemplar_texts, _EXEMPLAR_SCORES))
+        template = PromptTemplate(TemplateId.AG_ICL5, body, "0")
+        expected = substitute_oracle(body, *names, source, translation, block)
+        got = _oracle_outcome(
+            lambda: render_icl(template, exemplars, target).text)
+    else:
+        body = _ZERO_SHOT_BODIES[body_at % len(_ZERO_SHOT_BODIES)]
+        template = PromptTemplate(TemplateId.TE, body, "0")
+        expected = substitute_oracle(body, *names, source, translation)
+        got = _oracle_outcome(lambda: render_zero_shot(template, target).text)
+    if isinstance(expected, tuple):
+        expected = (expected[0],
+                    f"placeholder {{{expected[1]}}} survived substitution")
+    assert got == expected
+
+
+# code points JSON escapes: quotes, backslashes, control characters, lone
+# surrogates and non-BMP characters, beside any other
+_JSON_CHARS = st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
+                     "\U0001f600", "{", "}"]),
+    st.integers(0xD800, 0xDFFF).map(chr))
+_JSON_TEXT = st.text(alphabet=_JSON_CHARS, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.lists(_JSON_TEXT, min_size=1, max_size=3),
+       tails=st.lists(st.tuples(st.integers(0, 2), _JSON_TEXT), max_size=8),
+       pair=_JSON_TEXT, seed=st.integers(-2**70, 2**70),
+       segment_id=st.integers(0, 2**40),
+       template=st.sampled_from(ZERO_SHOT_TEMPLATES))
+def test_prompt_lines_equal_sorted_key_json(heads, tails, pair, seed,
+                                            segment_id, template):
+    # runs of prompts that share a head object, as a combo's do, and
+    # prompts whose head is empty
+    heads.append("")
+    prompts = [RenderedPrompt(template, heads[at % len(heads)] + tail, (),
+                              segment_id + i, pair, seed,
+                              head=heads[at % len(heads)])
+               for i, (at, tail) in enumerate(sorted(tails))]
+    assert list(prompt_lines(prompts)) == [
+        json.dumps(p.to_dict(), sort_keys=True) + "\n" for p in prompts]
+
+
+def test_rendered_prompts_share_their_combo_head(templates):
+    corpus = synthetic_corpus("en-gu", n_train=60, n_test=5)
+    for tid in (TemplateId.AG, TemplateId.AG_ICL3):
+        prompts = render_prompts(corpus, templates[tid], seed=1)
+        head = prompts[0].head
+        assert head.endswith('Source text: "')
+        assert all(p.head is head and p.text.startswith(head)
+                   for p in prompts)

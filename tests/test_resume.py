@@ -12,7 +12,6 @@ import pytest
 
 import qeharness
 import qeharness.pipeline as pipeline
-from qeharness.gateway import EchoScore, MockBackend
 from qeharness.pipeline import RunManifest, run
 
 from conftest import synthetic_corpus, write_corpus_manifest
@@ -51,7 +50,8 @@ def _artifact_stats(out: Path) -> dict:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the pipeline's renders and JSONL writes."""
+    """Counts of the pipeline's renders and JSONL writes: write_jsonl for
+    outputs and extractions, write_lines for the prompt file."""
     counts = {"render": 0, "write_jsonl": 0}
 
     def counting(name, fn):
@@ -62,8 +62,9 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(pipeline, "render_prompts",
                         counting("render", pipeline.render_prompts))
-    monkeypatch.setattr(pipeline, "write_jsonl",
-                        counting("write_jsonl", pipeline.write_jsonl))
+    for writer in ("write_jsonl", "write_lines"):
+        monkeypatch.setattr(pipeline, writer,
+                            counting("write_jsonl", getattr(pipeline, writer)))
     return counts
 
 
@@ -277,14 +278,20 @@ def test_outputs_left_by_a_crashed_run_are_not_reused(tmp_path, monkeypatch):
     assert run(manifest).inference_calls == N_TEST
 
 
-def test_marker_written_before_dispatch_claims_the_combo(tmp_path):
+def test_marker_written_before_dispatch_claims_the_combo(tmp_path,
+                                                         monkeypatch):
     manifest = _manifest(tmp_path, templates=["ag"])
     run(manifest)
-    # a backend without gold scores raises on its first call
-    with pytest.raises(KeyError):
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # a run under another temperature is killed during its dispatch
+    monkeypatch.setattr(pipeline, "complete_batch", killed)
+    with pytest.raises(KeyboardInterrupt):
         run(_manifest(tmp_path, templates=["ag"],
-                      inference={"temperature": 0.85}),
-            backend=MockBackend(EchoScore(), gold={}))
+                      inference={"temperature": 0.85}))
+    monkeypatch.undo()
     assert run(manifest).inference_calls == N_TEST
 
 

@@ -18,9 +18,9 @@ from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
                         write_summary_tsv)
 from .gateway import ModelOutput
 from .metrics import CorrelationReport, evaluate
-from .pipeline import (RunManifest, parse_mock_arg, render_detailed_table,
-                       render_prompts, render_table, run, worst_deviations,
-                       write_worst_tsv)
+from .pipeline import (RunManifest, load_listed_corpora, parse_mock_arg,
+                       render_detailed_table, render_prompts, render_table,
+                       run, worst_deviations, write_worst_tsv)
 from .prompts import TemplateId, load_templates, prompt_lines
 from .sft_export import SftConfig, SftMode, export
 
@@ -134,7 +134,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_render(args) -> int:
-    corpora = load_corpora(_require_manifest(args), pairs=args.pairs)
+    corpora = load_listed_corpora(_require_manifest(args), args.pairs)
     template = load_templates(args.template_dir)[TemplateId(args.template)]
     prompts = [p for corpus in corpora
                for p in render_prompts(corpus, template, args.seed or 0)]
@@ -189,10 +189,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_score(args) -> int:
-    matching = load_corpora(_require_manifest(args), pairs=[args.pair])
-    if not matching:
-        raise ManifestError(f"pair {args.pair} not in the corpus manifest")
-    corpus = matching[0]
+    corpus = load_listed_corpora(_require_manifest(args), [args.pair])[0]
     results = [ExtractionResult.from_dict(d)
                for d in read_jsonl(args.extractions)]
 

@@ -102,8 +102,12 @@ class InferenceConfig:
     token_estimator: Callable[[str], int] | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError("temperature must be a finite number >= 0")
+        for name, floor in (("temperature", ">="), ("request_timeout", ">"),
+                            ("retry_backoff_base", ">=")):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)
+                    and (value > 0 if floor == ">" else value >= 0)):
+                raise ValueError(f"{name} must be a finite number {floor} 0")
         for name in ("max_context_tokens", "max_new_tokens", "max_in_flight"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")

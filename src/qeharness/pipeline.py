@@ -33,7 +33,7 @@ from .prompts import (ICL_TEMPLATES, IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
 
 __all__ = [
     "ERROR_TAXONOMY", "RunManifest", "RunResult", "run", "build_mock_policy",
-    "parse_mock_arg", "render_prompts",
+    "parse_mock_arg", "load_listed_corpora", "render_prompts",
     "ResultTable", "TableCell", "build_result_table", "render_table",
     "render_detailed_table", "worst_deviations", "write_worst_tsv",
     "PAIR_ORDER",
@@ -168,16 +168,27 @@ def parse_mock_arg(text: str) -> dict:
         raise ManifestError(f"bad --mock value {text!r}: {exc}") from exc
 
 
+def load_listed_corpora(corpora_manifest: str | Path,
+                        pairs: list[str] | None) -> list[Corpus]:
+    """The corpora of the listed pairs, or of all pairs without a list; a
+    listed pair the corpus manifest lacks is a ManifestError."""
+    corpora = load_corpora(corpora_manifest, pairs=pairs)
+    unknown = set(pairs or ()) - {str(c.pair) for c in corpora}
+    if unknown:
+        raise ManifestError(f"no corpus-manifest entry for {sorted(unknown)}")
+    return corpora
+
+
 def render_prompts(corpus: Corpus, template, seed: int,
                    icl_seed: int | None = None) -> list:
     """One prompt per test segment. ICL templates draw their exemplars from
     the train split under icl_seed, which defaults to seed."""
     if template.id in ZERO_SHOT_TEMPLATES:
-        return [render_zero_shot(template, seg, seed) for seg in corpus.test]
+        return render_zero_shot(template, corpus.test, seed)
     exemplars = select_icl_exemplars(
         list(corpus.train), IclConfig.for_template(template.id),
         seed if icl_seed is None else icl_seed)
-    return [render_icl(template, exemplars, seg, seed) for seg in corpus.test]
+    return render_icl(template, exemplars, corpus.test, seed)
 
 
 @dataclass
@@ -225,10 +236,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         owned = closing(backend)
 
     templates = load_templates(manifest.template_dir)
-    corpora = load_corpora(manifest.corpora_manifest, pairs=manifest.pairs)
-    unknown = set(manifest.pairs or ()) - {str(c.pair) for c in corpora}
-    if unknown:
-        raise ManifestError(f"no corpus-manifest entry for {sorted(unknown)}")
+    corpora = load_listed_corpora(manifest.corpora_manifest, manifest.pairs)
     if backend is None:
         if manifest.mock is None:
             raise EndpointMissing(

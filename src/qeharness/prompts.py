@@ -179,13 +179,6 @@ class RenderedPrompt:
     seed: int
     head: str = field(default="", repr=False, compare=False)  # combo's prefix
 
-    def __post_init__(self) -> None:
-        expected = ICL_EXEMPLAR_COUNTS.get(self.template, 0)
-        if len(self.exemplars) != expected:
-            raise ExemplarCountMismatch(
-                f"{self.template.value} carries {len(self.exemplars)} "
-                f"exemplars, expected {expected}")
-
     def to_dict(self) -> dict:
         return {
             "pair": self.pair,
@@ -216,53 +209,56 @@ _ICL_FILL_ORDER = ("source_lang", "target_lang", "examples", "source_text",
                    "translation_text")
 
 
-@functools.lru_cache(maxsize=16)
-def _fill_combo(body: str, source_lang: str, target_lang: str,
-                examples: str | None) -> tuple[str, tuple | None]:
-    """body with the placeholders one combo shares filled (language names,
-    an ICL template's exemplar block), and its pieces around the first
-    {source_text} and the next {translation_text}, or None for the pieces
-    when either is missing or a piece holds a "{"."""
-    text = body.replace("{source_lang}", source_lang, 1)
-    text = text.replace("{target_lang}", target_lang, 1)
-    if examples is not None:
-        text = text.replace("{examples}", examples, 1)
-    pre, found, rest = text.partition("{source_text}")
-    mid, found_too, post = rest.partition("{translation_text}")
-    spliced = found and found_too and "{" not in pre + mid + post
-    return text, ((pre, mid, post) if spliced else None)
+def _render(template: PromptTemplate, segments: Iterable[Segment], seed: int,
+            exemplars: tuple[IclExemplar, ...],
+            examples: str | None) -> list[RenderedPrompt]:
+    """One prompt per segment. Per distinct pair the body's language names
+    (and an ICL block) are filled once and split around the first
+    {source_text} and the next {translation_text}. A segment is spliced
+    into those pieces when neither they nor its texts hold a "{", so no
+    placeholder can survive; else each placeholder's first occurrence is
+    filled in _ICL_FILL_ORDER (examples only for ICL) and a survivor
+    raises."""
+    names = _TARGET_PLACEHOLDERS if examples is None else _ICL_FILL_ORDER
+    combos: dict = {}  # pair -> (str(pair), filled body, pieces or None)
+    prompts = []
+    for seg in segments:
+        combo = combos.get(seg.pair)
+        if combo is None:
+            text = template.body.replace(
+                "{source_lang}", language_name(seg.pair.source_lang), 1)
+            text = text.replace(
+                "{target_lang}", language_name(seg.pair.target_lang), 1)
+            if examples is not None:
+                text = text.replace("{examples}", examples, 1)
+            pre, found, rest = text.partition("{source_text}")
+            mid, found_too, post = rest.partition("{translation_text}")
+            spliced = found and found_too and "{" not in pre + mid + post
+            combo = combos[seg.pair] = (str(seg.pair), text,
+                                        (pre, mid, post) if spliced else None)
+        pair, filled, pieces = combo
+        if pieces and "{" not in seg.source + seg.translation:
+            pre, mid, post = pieces
+            text, head = f"{pre}{seg.source}{mid}{seg.translation}{post}", pre
+        else:
+            text = filled.replace("{source_text}", seg.source, 1)
+            text = text.replace("{translation_text}", seg.translation, 1)
+            for name in names:
+                if "{%s}" % name in text:
+                    raise PlaceholderUnresolved(
+                        f"placeholder {{{name}}} survived substitution")
+            head = ""
+        prompts.append(RenderedPrompt(template.id, text, exemplars, seg.id,
+                                      pair, seed, head))
+    return prompts
 
 
-def _substitute(body: str, segment: Segment,
-                examples: str | None = None) -> tuple[str, str]:
-    """The prompt text and the head it shares with its combo: spliced when
-    neither the pieces nor the segment's texts hold a "{", so no placeholder
-    can survive; else each placeholder's first occurrence is filled in
-    _ICL_FILL_ORDER (examples only for ICL) and a survivor raises."""
-    text, pieces = _fill_combo(body, language_name(segment.pair.source_lang),
-                               language_name(segment.pair.target_lang),
-                               examples)
-    if pieces and "{" not in segment.source + segment.translation:
-        pre, mid, post = pieces
-        return f"{pre}{segment.source}{mid}{segment.translation}{post}", pre
-    text = text.replace("{source_text}", segment.source, 1)
-    text = text.replace("{translation_text}", segment.translation, 1)
-    for name in _TARGET_PLACEHOLDERS if examples is None else _ICL_FILL_ORDER:
-        if "{%s}" % name in text:
-            raise PlaceholderUnresolved(
-                f"placeholder {{{name}}} survived substitution")
-    return text, ""
-
-
-def render_zero_shot(template: PromptTemplate, segment: Segment,
-                     seed: int = 0) -> RenderedPrompt:
-    """Materialize a zero-shot prompt for one segment."""
+def render_zero_shot(template: PromptTemplate, segments: Iterable[Segment],
+                     seed: int = 0) -> list[RenderedPrompt]:
+    """Materialize a zero-shot prompt for each segment."""
     if template.id not in ZERO_SHOT_TEMPLATES:
         raise ValueError(f"{template.id.value} is not a zero-shot template")
-    text, head = _substitute(template.body, segment)
-    return RenderedPrompt(template=template.id, text=text, exemplars=(),
-                          target_segment_id=segment.id,
-                          pair=str(segment.pair), seed=seed, head=head)
+    return _render(template, segments, seed, (), None)
 
 
 _ICL3_BINS = (ScoreBin.B0_30, ScoreBin.B71_90, ScoreBin.B91_100)
@@ -362,41 +358,26 @@ _EXEMPLAR_BLOCK = ('Source text: "{source}"\n'
                    "Score: {score:.1f}")
 
 
-# (exemplars, sorted, block) of the last call. A combo renders every test
-# segment with one exemplar list, so its block is built once; equal
-# exemplars make the same block, so a match is sound whoever built the list.
-_last_block: tuple = ((), (), "")
-
-
-def _exemplar_block(exemplars) -> tuple[tuple[IclExemplar, ...], str]:
-    """The exemplars in bin-ascending order, and their rendered block."""
-    global _last_block
-    key = tuple(exemplars)
-    last, ordered, block = _last_block
-    if key != last:
-        ordered = tuple(sorted(key, key=_exemplar_order))
-        block = "\n\n".join(
-            _EXEMPLAR_BLOCK.format(source=e.segment.source,
-                                   translation=e.segment.translation,
-                                   score=e.segment.da_mean)
-            for e in ordered)
-        _last_block = (key, ordered, block)
-    return ordered, block
-
-
 def render_icl(template: PromptTemplate, exemplars: list[IclExemplar],
-               segment: Segment, seed: int = 0) -> RenderedPrompt:
-    """Materialize an ICL prompt: scored exemplars, then the unscored target.
+               segments: Iterable[Segment],
+               seed: int = 0) -> list[RenderedPrompt]:
+    """Materialize an ICL prompt for each segment: scored exemplars, then
+    the unscored target.
 
     Exemplars render in bin-ascending order with their gold score at one
     decimal, matching the extraction grammar.
     """
     if template.id not in ICL_TEMPLATES:
         raise ValueError(f"{template.id.value} is not an ICL template")
-    # RenderedPrompt checks the exemplar count
-    ordered, block = _exemplar_block(exemplars)
-    text, head = _substitute(template.body, segment, block)
-    return RenderedPrompt(template=template.id, text=text,
-                          exemplars=ordered,
-                          target_segment_id=segment.id,
-                          pair=str(segment.pair), seed=seed, head=head)
+    expected = ICL_EXEMPLAR_COUNTS[template.id]
+    if len(exemplars) != expected:
+        raise ExemplarCountMismatch(
+            f"{template.id.value} carries {len(exemplars)} exemplars, "
+            f"expected {expected}")
+    ordered = tuple(sorted(exemplars, key=_exemplar_order))
+    block = "\n\n".join(
+        _EXEMPLAR_BLOCK.format(source=e.segment.source,
+                               translation=e.segment.translation,
+                               score=e.segment.da_mean)
+        for e in ordered)
+    return _render(template, segments, seed, ordered, block)

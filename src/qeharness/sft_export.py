@@ -59,16 +59,12 @@ def build_records(corpus: Corpus, template: PromptTemplate) -> list[SftRecord]:
         raise ValueError("instruction records use the range-guideline template")
     if not corpus.train:
         raise EmptyTrainSplit(str(corpus.pair))
-    records = []
-    for seg in corpus.train:
-        prompt = render_zero_shot(template, seg)
-        records.append(SftRecord(
-            instruction=prompt.text,
-            output=f"Score: {seg.da_mean:.1f}",
-            meta={"pair": str(corpus.pair), "segment_id": seg.id,
-                  "template_version": template.version},
-        ))
-    return records
+    prompts = render_zero_shot(template, corpus.train)
+    return [SftRecord(instruction=prompt.text,
+                      output=f"Score: {seg.da_mean:.1f}",
+                      meta={"pair": str(corpus.pair), "segment_id": seg.id,
+                            "template_version": template.version})
+            for seg, prompt in zip(corpus.train, prompts)]
 
 
 def _shuffled(records: list[SftRecord], seed: int) -> list[SftRecord]:

@@ -83,8 +83,7 @@ def test_criterion_02_t_cdf_vs_quadrature():
 # -- 3. end-to-end identity ------------------------------------------------------
 
 def _run_mock(policy, corpus, template_id=TemplateId.AG, seed=0):
-    prompts = [render_zero_shot(TEMPLATES[template_id], seg, seed)
-               for seg in corpus.test]
+    prompts = render_zero_shot(TEMPLATES[template_id], corpus.test, seed)
     backend = MockBackend(policy, gold=gold_map(corpus.test), seed=seed)
     cfg = InferenceConfig(model_name="mock", max_context_tokens=10**6,
                           retry_backoff_base=0.0)

@@ -148,3 +148,42 @@ def test_run_with_nothing_to_do_is_manifest_error(tmp_path, capsys, field,
     assert "error[ManifestError]" in err
     assert named in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"request_timeout": "x"},
+    {"request_timeout": 0},
+    {"request_timeout": -1.5},
+    {"request_timeout": float("inf")},
+    {"retry_backoff_base": "x"},
+    {"retry_backoff_base": -0.5},
+    {"retry_backoff_base": float("nan")},
+], ids=lambda setting: "{}={!r}".format(*next(iter(setting.items()))))
+def test_bad_timing_setting_is_manifest_error(tmp_path, capsys, setting):
+    # a refusing endpoint: the setting is rejected before any request
+    manifest = _run_manifest_file(tmp_path, inference={
+        "model_name": "m", "endpoint_url": "http://127.0.0.1:9/v1/chat",
+        "max_retries": 1, **setting})
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert next(iter(setting)) in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,named", [
+    (["render", "--template", "ag", "--pairs", "xx-yy"], "xx-yy"),
+    (["render", "--template", "ag", "--pairs", "en-gu", "en-gx"], "en-gx"),
+    (["score", "--template", "ag", "--pair", "xx-yy", "--extractions",
+      "none.jsonl"], "xx-yy"),
+], ids=["render-unknown-pair", "render-one-unknown-pair", "score"])
+def test_unknown_pair_is_manifest_error(tmp_path, capsys, command, named):
+    corpora = write_corpus_manifest(
+        tmp_path / "data", [synthetic_corpus("en-gu", n_train=20, n_test=5)])
+    out = tmp_path / "out"
+    assert main([*command, "--manifest", str(corpora), "--out",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert named in err
+    assert not out.exists()

@@ -36,8 +36,7 @@ TEMPLATES = load_templates()
 
 def _prompts(n=10, pair="en-gu", seed=1):
     segments = synthetic_segments(pair, n=n, split=Split.TEST, seed=seed)
-    return segments, [render_zero_shot(TEMPLATES[TemplateId.AG], s)
-                      for s in segments]
+    return segments, render_zero_shot(TEMPLATES[TemplateId.AG], segments)
 
 
 def _mock_config(**overrides) -> InferenceConfig:
@@ -105,7 +104,7 @@ def test_mock_echo_score_identity():
 def test_mock_echo_score_spec_example():
     pair = LangPair("en", "gu")
     seg = Segment(1, "hello", "namaste", 64.0, pair, Split.TEST)
-    prompt = render_zero_shot(TEMPLATES[TemplateId.GEMBA], seg)
+    prompt = render_zero_shot(TEMPLATES[TemplateId.GEMBA], [seg])[0]
     backend = MockBackend(EchoScore(), gold=gold_map([seg]))
     out = complete(_mock_config(), prompt, backend)
     assert out.raw_text == "Score: 64.0"

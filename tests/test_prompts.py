@@ -88,7 +88,7 @@ def test_language_names():
 
 def test_zero_shot_contains_segment_verbatim(templates):
     seg = _seg(1, 55.0, Split.TEST, source="Hello", translation="Namaste")
-    prompt = render_zero_shot(templates[TemplateId.GEMBA], seg)
+    prompt = render_zero_shot(templates[TemplateId.GEMBA], [seg])[0]
     assert prompt.text.count("Hello") == 1
     assert "Namaste" in prompt.text
     assert "English" in prompt.text
@@ -100,7 +100,7 @@ def test_zero_shot_contains_segment_verbatim(templates):
 
 def test_zero_shot_ag_contains_guidelines(templates):
     seg = _seg(2, 55.0, Split.TEST)
-    prompt = render_zero_shot(templates[TemplateId.AG], seg)
+    prompt = render_zero_shot(templates[TemplateId.AG], [seg])[0]
     for b in SCORE_BINS:
         assert b.label in prompt.text
     assert seg.source in prompt.text
@@ -108,15 +108,15 @@ def test_zero_shot_ag_contains_guidelines(templates):
 
 def test_zero_shot_is_deterministic(templates):
     seg = _seg(3, 41.5, Split.TEST)
-    first = render_zero_shot(templates[TemplateId.AG], seg, seed=9)
-    second = render_zero_shot(templates[TemplateId.AG], seg, seed=9)
+    first = render_zero_shot(templates[TemplateId.AG], [seg], seed=9)[0]
+    second = render_zero_shot(templates[TemplateId.AG], [seg], seed=9)[0]
     assert first.text == second.text
     assert first == second
 
 
 def test_zero_shot_rejects_icl_template(templates):
     with pytest.raises(ValueError):
-        render_zero_shot(templates[TemplateId.AG_ICL5], _seg(4, 10.0))
+        render_zero_shot(templates[TemplateId.AG_ICL5], [_seg(4, 10.0)])
 
 
 def test_unresolved_placeholder_raises():
@@ -126,7 +126,7 @@ def test_unresolved_placeholder_raises():
                             "{translation_text} then {source_text}",
                             "0.0.1")
     with pytest.raises(PlaceholderUnresolved):
-        render_zero_shot(broken, _seg(5, 50.0, Split.TEST))
+        render_zero_shot(broken, [_seg(5, 50.0, Split.TEST)])
 
 
 # -- exemplar selection ---------------------------------------------------------------
@@ -308,15 +308,15 @@ def test_render_icl_block_follows_the_exemplars(templates):
                    for i, s in enumerate(_toy_train())]
     other = select_icl_exemplars(other_train, IclConfig.ICL5, seed=1)
 
-    text = render_icl(template, first, target).text
-    other_text = render_icl(template, other, target).text
-    assert render_icl(template, first, target).text == text != other_text
+    text = render_icl(template, first, [target])[0].text
+    other_text = render_icl(template, other, [target])[0].text
+    assert render_icl(template, first, [target])[0].text == text != other_text
     assert all(e.segment.source in other_text for e in other)
 
     # a list changed in place renders its new member
     first[0] = IclExemplar(_seg(50, 5.0, source="swapped in"),
                            ScoreBin.B0_30)
-    swapped = render_icl(template, first, target)
+    swapped = render_icl(template, first, [target])[0]
     assert "swapped in" in swapped.text
     assert swapped.exemplars[0].segment.id == 50
 
@@ -325,7 +325,7 @@ def test_render_icl_scores_ascend_and_target_last(templates):
     exemplars = select_icl_exemplars(_toy_train(), IclConfig.ICL5, seed=1)
     target = _seg(99, 50.0, Split.TEST, source="TARGET SOURCE",
                   translation="TARGET TRANSLATION")
-    prompt = render_icl(templates[TemplateId.AG_ICL5], exemplars, target)
+    prompt = render_icl(templates[TemplateId.AG_ICL5], exemplars, [target])[0]
 
     scores = [e.segment.da_mean for e in prompt.exemplars]
     assert scores == sorted(scores)
@@ -340,28 +340,76 @@ def test_render_icl_scores_ascend_and_target_last(templates):
 def test_render_icl_count_mismatch(templates):
     exemplars = select_icl_exemplars(_toy_train(), IclConfig.ICL5, seed=1)
     with pytest.raises(ExemplarCountMismatch):
-        render_icl(templates[TemplateId.AG_ICL3], exemplars, _seg(99, 50.0,
-                                                                  Split.TEST))
+        render_icl(templates[TemplateId.AG_ICL3], exemplars,
+                   [_seg(99, 50.0, Split.TEST)])
+
+
+@pytest.mark.parametrize("segments", [[], [_seg(99, 50.0, Split.TEST)]],
+                         ids=["no-segments", "one-segment"])
+def test_render_icl_checks_the_count_once_per_call(templates, segments,
+                                                   monkeypatch):
+    exemplars = select_icl_exemplars(_toy_train(), IclConfig.ICL5, seed=1)
+    raised = []
+    real = prompts.ExemplarCountMismatch
+
+    def counted(*args):
+        raised.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(prompts, "ExemplarCountMismatch", counted)
+    with pytest.raises(ExemplarCountMismatch):
+        render_icl(templates[TemplateId.AG_ICL3], exemplars, segments)
+    assert len(raised) == 1
+
+
+def test_one_call_over_two_pairs_equals_a_call_per_pair(templates):
+    gu = synthetic_segments("en-gu", n=6, split=Split.TEST)
+    si = synthetic_segments("si-en", n=6, split=Split.TEST)
+    mixed = [seg for two in zip(gu, si) for seg in two]
+    # each pair's language beside English, and the other pair's
+    names = {"en-gu": ("Gujarati", "Sinhala"), "si-en": ("Sinhala", "Gujarati")}
+    exemplars = select_icl_exemplars(_toy_train(), IclConfig.ICL5, seed=1)
+    for tid in (*ZERO_SHOT_TEMPLATES, TemplateId.AG_ICL5):
+        template = templates[tid]
+
+        def render(segments):
+            if tid in ZERO_SHOT_TEMPLATES:
+                return render_zero_shot(template, segments, seed=2)
+            return render_icl(template, exemplars, segments, seed=2)
+
+        together = render(mixed)
+        assert [(p.pair, p.target_segment_id) for p in together] == \
+            [(str(seg.pair), seg.id) for seg in mixed]
+        for p in together:
+            own, other = names[p.pair]
+            assert "English" in p.text and own in p.text
+            assert other not in p.text
+        apart = {(p.pair, p.target_segment_id): p
+                 for p in render(gu) + render(si)}
+        assert together == [apart[p.pair, p.target_segment_id]
+                            for p in together]
 
 
 def test_render_icl_rejects_zero_shot_template(templates):
     exemplars = select_icl_exemplars(_toy_train(), IclConfig.ICL5, seed=1)
     with pytest.raises(ValueError):
-        render_icl(templates[TemplateId.AG], exemplars, _seg(99, 50.0,
-                                                             Split.TEST))
+        render_icl(templates[TemplateId.AG], exemplars,
+                   [_seg(99, 50.0, Split.TEST)])
 
 
 def test_render_icl_deterministic(templates):
     exemplars = select_icl_exemplars(_toy_train(), IclConfig.ICL7, seed=3)
     target = _seg(99, 50.0, Split.TEST)
-    one = render_icl(templates[TemplateId.AG_ICL7], exemplars, target, seed=3)
-    two = render_icl(templates[TemplateId.AG_ICL7], exemplars, target, seed=3)
+    one = render_icl(templates[TemplateId.AG_ICL7], exemplars, [target],
+                     seed=3)[0]
+    two = render_icl(templates[TemplateId.AG_ICL7], exemplars, [target],
+                     seed=3)[0]
     assert one.text == two.text
 
 
 def test_rendered_prompt_dump_fields(templates):
     seg = _seg(12, 33.5, Split.TEST)
-    prompt = render_zero_shot(templates[TemplateId.TE], seg, seed=5)
+    prompt = render_zero_shot(templates[TemplateId.TE], [seg], seed=5)[0]
     dumped = prompt.to_dict()
     assert dumped == {"pair": "en-gu", "segment_id": 12, "template": "te",
                       "seed": 5, "text": prompt.text}
@@ -424,12 +472,13 @@ def test_spliced_render_matches_replace_oracle(icl, body_at, source,
         template = PromptTemplate(TemplateId.AG_ICL5, body, "0")
         expected = substitute_oracle(body, *names, source, translation, block)
         got = _oracle_outcome(
-            lambda: render_icl(template, exemplars, target).text)
+            lambda: render_icl(template, exemplars, [target])[0].text)
     else:
         body = _ZERO_SHOT_BODIES[body_at % len(_ZERO_SHOT_BODIES)]
         template = PromptTemplate(TemplateId.TE, body, "0")
         expected = substitute_oracle(body, *names, source, translation)
-        got = _oracle_outcome(lambda: render_zero_shot(template, target).text)
+        got = _oracle_outcome(
+            lambda: render_zero_shot(template, [target])[0].text)
     if isinstance(expected, tuple):
         expected = (expected[0],
                     f"placeholder {{{expected[1]}}} survived substitution")

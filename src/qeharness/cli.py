@@ -10,9 +10,11 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (SCORE_BINS, histogram, load_corpora, read_jsonl,
-                     split_size_warnings, write_json, write_jsonl, write_lines)
+                     read_records, split_size_warnings, write_json,
+                     write_lines)
 from .errors import EmptyTrainSplit, HarnessError, ManifestError
-from .extraction import ExtractionResult, extract_batch, untrustworthy
+from .extraction import (ExtractionResult, extract_batch, extraction_lines,
+                         untrustworthy)
 from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
                         write_plot_data_tsv, write_records_jsonl,
                         write_summary_tsv)
@@ -175,13 +177,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    outputs = [ModelOutput.from_dict(d) for d in read_jsonl(args.outputs)]
+    outputs = list(read_records(args.outputs, ModelOutput.from_dict))
     results, ledger = extract_batch(outputs, model=args.model)
 
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        write_jsonl(args.out / "extractions.jsonl",
-                    (res.to_dict() for res in results))
+        write_lines(args.out / "extractions.jsonl", extraction_lines(results))
         write_json(args.out / "ledger.json", ledger.to_dict())
     print(f"total={ledger.total} excluded={ledger.excluded_count} "
           f"untrustworthy={ledger.flagged_untrustworthy}")
@@ -190,8 +191,7 @@ def cmd_extract(args) -> int:
 
 def cmd_score(args) -> int:
     corpus = load_listed_corpora(_require_manifest(args), [args.pair])[0]
-    results = [ExtractionResult.from_dict(d)
-               for d in read_jsonl(args.extractions)]
+    results = list(read_records(args.extractions, ExtractionResult.from_dict))
 
     gold_by_id = {seg.id: seg.da_mean for seg in corpus.test}
     report = evaluate(gold_by_id, results, pair=args.pair,

@@ -13,12 +13,13 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (FileUnreadable, ManifestError, MissingColumn,
                      RowParseError, ScoreOutOfRange)
@@ -30,7 +31,7 @@ __all__ = [
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
     "write_corpus_tsv", "CorpusEntry", "load_corpus_manifest", "load_corpora",
     "EXPECTED_SPLIT_SIZES", "split_size_warnings", "write_jsonl",
-    "write_lines", "write_json", "read_jsonl",
+    "write_lines", "write_json", "read_jsonl", "read_records", "json_field",
 ]
 
 
@@ -308,6 +309,36 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         yield rec
 
 
+def read_records(path: str | Path, from_dict: Callable[[dict], object],
+                 ) -> Iterator:
+    """from_dict of each object read_jsonl yields; a row from_dict rejects
+    with ValueError raises RowParseError naming its line."""
+    for lineno, rec in _numbered_jsonl(path):
+        try:
+            record = from_dict(rec)
+        except ValueError as exc:
+            raise RowParseError(lineno, f"bad record in {path}: {exc}") from exc
+        yield record
+
+
+def json_field(d: dict, name: str, *types: type):
+    """d[name], which must be a JSON value of one of types, matched exactly
+    (a bool is no int) and finite if a float. Persisted rows are read
+    through this, because their line writers format only the declared
+    types; a missing or mistyped field raises ValueError."""
+    if name not in d:
+        raise ValueError(f"missing field {name!r}")
+    value = d[name]
+    if type(value) not in types or (type(value) is float
+                                    and not math.isfinite(value)):
+        wanted = " or ".join("null" if t is type(None) else t.__name__
+                             for t in types)
+        raise ValueError(f"{name} must be {wanted}"
+                         f"{' (finite)' if float in types else ''}, "
+                         f"got {value!r}")
+    return value
+
+
 def _numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """read_jsonl's objects, each with its 1-based line number."""
     path = Path(path)
@@ -344,10 +375,11 @@ class CorpusEntry:
 def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
     """Parse a line-oriented manifest: one JSON record per line with fields
     pair / train / test and an optional columns map. Relative paths resolve
-    against the manifest's directory. A record whose fields do not parse
-    raises ManifestError naming its line."""
+    against the manifest's directory. A record whose fields do not parse,
+    or that lists a pair again, raises ManifestError naming its line."""
     path = Path(path)
     entries = []
+    seen: dict[LangPair, int] = {}  # pair -> the line that listed it
     for lineno, rec in _numbered_jsonl(path):
         for key in ("pair", "train", "test"):
             if key not in rec:
@@ -362,6 +394,10 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
             pair = LangPair.parse(rec["pair"])
         except ValueError as exc:
             raise ManifestError(f"{path} line {lineno}: {exc}") from exc
+        if pair in seen:
+            raise ManifestError(f"{path} line {lineno}: pair {pair} is "
+                                f"already listed on line {seen[pair]}")
+        seen[pair] = lineno
         entries.append(CorpusEntry(
             pair=pair,
             train_path=(path.parent / rec["train"]).resolve(),

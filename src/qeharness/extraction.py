@@ -8,18 +8,20 @@ golden table. Changing anything here is a replication-affecting decision.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .gateway import ModelOutput, PromptRef, TRANSPORT_OK
+from .corpus import json_field
+from .gateway import ModelOutput, PromptRef, TRANSPORT_OK, prompt_ref_encoder
 
 __all__ = [
     "REASON_NO_NUMERIC_MATCH", "REASON_OUT_OF_RANGE", "REASON_TRANSPORT_FAILED",
     "REASON_AMBIGUOUS", "EXCLUSION_REASONS", "Outcome", "ExtractionResult",
-    "ExclusionLedger", "extract_score", "extract_batch", "exclusion_reasons",
-    "UNTRUSTWORTHY_EXCLUSION_SHARE", "untrustworthy",
+    "extraction_lines", "ExclusionLedger", "extract_score", "extract_batch",
+    "exclusion_reasons", "UNTRUSTWORTHY_EXCLUSION_SHARE", "untrustworthy",
 ]
 
 REASON_NO_NUMERIC_MATCH = "NoNumericMatch"
@@ -146,9 +148,31 @@ class ExtractionResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtractionResult":
-        return cls(prompt_ref=PromptRef.from_dict(d["prompt_ref"]),
-                   score=d["score"], reason=d["reason"],
-                   span=tuple(d["span"]) if d.get("span") else None)
+        """The result to_dict encoded; a missing or mistyped field raises
+        ValueError (see json_field). span may be absent."""
+        span = d.get("span")
+        if not (span is None or (type(span) is list and len(span) == 2
+                                 and all(type(v) is int for v in span))):
+            raise ValueError(f"span must be null or two integers, got {span!r}")
+        return cls(prompt_ref=PromptRef.from_dict(json_field(d, "prompt_ref",
+                                                             dict)),
+                   score=json_field(d, "score", int, float, type(None)),
+                   reason=json_field(d, "reason", str, type(None)),
+                   span=tuple(span) if span else None)
+
+
+def extraction_lines(results: Iterable[ExtractionResult]) -> Iterator[str]:
+    """Each result's line, json.dumps(r.to_dict(), sort_keys=True) + "\\n",
+    for the field types ExtractionResult declares; each combo's prompt_ref
+    parts are escaped once (prompt_ref_encoder)."""
+    ref_json = prompt_ref_encoder()
+    escape = json.encoder.encode_basestring_ascii  # json.dumps' own
+    for r in results:
+        reason = "null" if r.reason is None else escape(r.reason)
+        score = "null" if r.score is None else repr(r.score)
+        span = f"[{r.span[0]!r}, {r.span[1]!r}]" if r.span else "null"
+        yield (f'{{"prompt_ref": {ref_json(r.prompt_ref)}, "reason": '
+               f'{reason}, "score": {score}, "span": {span}}}\n')
 
 
 # A run whose exclusions exceed this share of all inferences is flagged as

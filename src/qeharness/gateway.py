@@ -23,11 +23,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
+from .corpus import json_field
 from .errors import EndpointMissing
 from .prompts import RenderedPrompt
 from .seeding import stable_hash
@@ -38,7 +39,8 @@ __all__ = [
     "FAIL_CONTEXT_OVERFLOW", "FAIL_MOCK", "FAIL_BACKEND", "PromptRef",
     "InferenceConfig", "ModelOutput", "TransportError", "HttpBackend",
     "MockBackend", "EchoScore", "Fixed", "Garbage", "Fail", "gold_map",
-    "complete", "complete_batch", "estimate_tokens",
+    "complete", "complete_batch", "estimate_tokens", "prompt_ref_encoder",
+    "output_lines",
 ]
 
 log = logging.getLogger(__name__)
@@ -76,8 +78,31 @@ class PromptRef:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PromptRef":
-        return cls(pair=d["pair"], segment_id=d["segment_id"],
-                   template=d["template"], seed=d["seed"])
+        """The ref to_dict encoded; a missing or mistyped field raises
+        ValueError (see json_field)."""
+        return cls(pair=json_field(d, "pair", str),
+                   segment_id=json_field(d, "segment_id", int),
+                   template=json_field(d, "template", str),
+                   seed=json_field(d, "seed", int))
+
+
+def prompt_ref_encoder() -> Callable[[PromptRef], str]:
+    """A function giving json.dumps(ref.to_dict(), sort_keys=True) for the
+    field types PromptRef declares. The refs of one (pair, template) combo
+    differ only in segment_id, so the JSON before and after its value is
+    escaped once per (pair, seed, template) the function meets."""
+    escape = json.encoder.encode_basestring_ascii  # json.dumps' own
+    parts: dict = {}
+
+    def encode(ref: PromptRef) -> str:
+        key = (ref.pair, ref.seed, ref.template)
+        around = parts.get(key)
+        if around is None:
+            around = parts[key] = (
+                f'{{"pair": {escape(ref.pair)}, "seed": {ref.seed!r}, '
+                '"segment_id": ', f', "template": {escape(ref.template)}}}')
+        return f"{around[0]}{ref.segment_id!r}{around[1]}"
+    return encode
 
 
 @dataclass(frozen=True)
@@ -102,17 +127,27 @@ class InferenceConfig:
     token_estimator: Callable[[str], int] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model_name, str):
+            raise ValueError(
+                f"model_name must be a string, got {self.model_name!r}")
+        if not isinstance(self.endpoint_url, (str, type(None))):
+            raise ValueError("endpoint_url must be a string or null, got "
+                             f"{self.endpoint_url!r}")
+        if not (self.token_estimator is None or callable(self.token_estimator)):
+            raise ValueError("token_estimator must be callable or null")
         for name, floor in (("temperature", ">="), ("request_timeout", ">"),
                             ("retry_backoff_base", ">=")):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)
                     and (value > 0 if floor == ">" else value >= 0)):
                 raise ValueError(f"{name} must be a finite number {floor} 0")
-        for name in ("max_context_tokens", "max_new_tokens", "max_in_flight"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        # a bool is no int here
+        for name, floor in (("max_context_tokens", 1), ("max_new_tokens", 1),
+                            ("max_in_flight", 1), ("max_retries", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < floor:
+                raise ValueError(
+                    f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 def estimate_tokens(text: str, config: InferenceConfig) -> int:
@@ -142,11 +177,31 @@ class ModelOutput:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelOutput":
-        return cls(prompt_ref=PromptRef.from_dict(d["prompt_ref"]),
-                   raw_text=d["raw_text"],
-                   latency=d["latency_ms"] / 1000.0,
-                   attempt_count=d["attempts"],
-                   transport_status=d["status"])
+        """The output to_dict encoded; a missing or mistyped field raises
+        ValueError (see json_field)."""
+        return cls(prompt_ref=PromptRef.from_dict(json_field(d, "prompt_ref",
+                                                             dict)),
+                   raw_text=json_field(d, "raw_text", str),
+                   latency=json_field(d, "latency_ms", int, float) / 1000.0,
+                   attempt_count=json_field(d, "attempts", int),
+                   transport_status=json_field(d, "status", str))
+
+
+def output_lines(outputs: Iterable[ModelOutput]) -> Iterator[str]:
+    """Each output's line, json.dumps(o.to_dict(), sort_keys=True) + "\\n",
+    for the field types ModelOutput declares. Each combo's prompt_ref parts
+    (prompt_ref_encoder) and each distinct reply are escaped once."""
+    escape = json.encoder.encode_basestring_ascii  # json.dumps' own
+    ref_json = prompt_ref_encoder()
+    replies: dict[str, str] = {}
+    for o in outputs:
+        reply = replies.get(o.raw_text)
+        if reply is None:
+            reply = replies[o.raw_text] = escape(o.raw_text)
+        yield (f'{{"attempts": {o.attempt_count!r}, "latency_ms": '
+               f'{round(o.latency * 1000.0, 3)!r}, "prompt_ref": '
+               f'{ref_json(o.prompt_ref)}, "raw_text": {reply}, "status": '
+               f'{escape(o.transport_status)}}}\n')
 
 
 class TransportError(Exception):

@@ -18,14 +18,14 @@ from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import (Corpus, load_corpora, read_jsonl, write_json,
-                     write_jsonl, write_lines)
+from .corpus import (Corpus, load_corpora, read_records, write_json,
+                     write_lines)
 from .errors import EndpointMissing, ManifestError, HarnessError
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
-                         untrustworthy)
+                         extraction_lines, untrustworthy)
 from .gateway import (EchoScore, Fail, Fixed, Garbage, HttpBackend,
                       InferenceConfig, ModelOutput, MockBackend, complete_batch,
-                      gold_map)
+                      gold_map, output_lines)
 from .metrics import CorrelationReport, Significance, evaluate
 from .prompts import (ICL_TEMPLATES, IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
                       load_templates, prompt_lines, render_icl,
@@ -327,8 +327,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
 
     persisted: dict[int, ModelOutput] = {}
     if artifacts["outputs"].exists():
-        for d in read_jsonl(artifacts["outputs"]):
-            output = ModelOutput.from_dict(d)
+        for output in read_records(artifacts["outputs"], ModelOutput.from_dict):
             persisted[output.prompt_ref.segment_id] = output
 
     todo = [p for p in prompts if p.target_segment_id not in persisted]
@@ -339,14 +338,14 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     for output in fresh:
         by_segment[output.prompt_ref.segment_id] = output
     outputs = [by_segment[p.target_segment_id] for p in prompts]
-    digests["outputs"] = write_jsonl(artifacts["outputs"],
-                                     (o.to_dict() for o in outputs))
+    digests["outputs"] = write_lines(artifacts["outputs"],
+                                     output_lines(outputs))
     log(f"{pair}/{tid.value}: {dispatched} dispatched, "
         f"{len(persisted)} resumed")
 
     results, ledger = extract_batch(outputs, model=cfg.model_name)
-    digests["extractions"] = write_jsonl(artifacts["extractions"],
-                                         (r.to_dict() for r in results))
+    digests["extractions"] = write_lines(artifacts["extractions"],
+                                         extraction_lines(results))
 
     gold_by_id = {seg.id: seg.da_mean for seg in corpus.test}
     report = None

@@ -9,18 +9,20 @@ hyperparameters ride along as a provenance memo and are never executed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator
 
-from .corpus import Corpus, write_json, write_jsonl
+from .corpus import Corpus, write_json, write_jsonl, write_lines
 from .errors import EmptyTrainSplit
 from .prompts import PromptTemplate, TemplateId, render_zero_shot
 from .seeding import seeded_order
 
 __all__ = [
     "SftMode", "SftConfig", "SftRecord", "HYPERPARAMETER_MEMO",
-    "build_records", "export",
+    "build_records", "sft_lines", "export",
 ]
 
 # Fixed adapter settings recorded for provenance with every export.
@@ -47,10 +49,33 @@ class SftRecord:
     instruction: str
     output: str
     meta: dict  # pair, segment_id, template_version
+    # the instruction's prefix that every record of its pair shares
+    head: str = field(default="", repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"instruction": self.instruction, "output": self.output,
                 "meta": self.meta}
+
+
+def sft_lines(records: Iterable[SftRecord]) -> Iterator[str]:
+    """Each record's line, json.dumps(r.to_dict(), sort_keys=True) + "\\n",
+    for a meta of a string pair, an int segment_id and a string
+    template_version, as build_records makes. Each distinct head is escaped
+    once; the pooled shuffle interleaves the pairs, so the escaped heads
+    are kept by head, not just the last one."""
+    escape = json.encoder.encode_basestring_ascii  # json.dumps' own
+    heads: dict[str, str] = {}
+    for r in records:
+        head = heads.get(r.head)
+        if head is None:
+            head = heads[r.head] = escape(r.head)[:-1]
+        meta = r.meta
+        yield (f'{{"instruction": {head}'
+               f'{escape(r.instruction[len(r.head):])[1:]}, "meta": '
+               f'{{"pair": {escape(meta["pair"])}, "segment_id": '
+               f'{meta["segment_id"]!r}, "template_version": '
+               f'{escape(meta["template_version"])}}}, "output": '
+               f'{escape(r.output)}}}\n')
 
 
 def build_records(corpus: Corpus, template: PromptTemplate) -> list[SftRecord]:
@@ -63,7 +88,8 @@ def build_records(corpus: Corpus, template: PromptTemplate) -> list[SftRecord]:
     return [SftRecord(instruction=prompt.text,
                       output=f"Score: {seg.da_mean:.1f}",
                       meta={"pair": str(corpus.pair), "segment_id": seg.id,
-                            "template_version": template.version})
+                            "template_version": template.version},
+                      head=prompt.head)
             for seg, prompt in zip(corpus.train, prompts)]
 
 
@@ -81,9 +107,9 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     and are byte-identical for a fixed shuffle seed. The manifest records
     per-pair counts and the hyperparameter memo, and is written alongside.
 
-    record_adapter, when given, maps each record dict to the line actually
+    record_adapter, when given, maps each record dict to the dict actually
     written, for consumers whose fine-tuning framework wants different
-    field names.
+    field names; without it each line is sft_lines' formatting of a record.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -95,20 +121,22 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     counts = {pair: len(records) for pair, records in per_pair.items()}
     files: dict[str, str] = {}
 
-    def lines(records: list[SftRecord]):
-        dicts = (r.to_dict() for r in _shuffled(records, config.shuffle_seed))
-        return (record_adapter(d) if record_adapter else d for d in dicts)
+    def write(name: str, records: list[SftRecord]) -> None:
+        ordered = _shuffled(records, config.shuffle_seed)
+        if record_adapter:
+            write_jsonl(out_dir / name,
+                        (record_adapter(r.to_dict()) for r in ordered))
+        else:
+            write_lines(out_dir / name, sft_lines(ordered))
 
     if config.mode is SftMode.UMT:
         pooled = [rec for records in per_pair.values() for rec in records]
-        name = "sft_umt.jsonl"
-        write_jsonl(out_dir / name, lines(pooled))
-        files["umt"] = name
+        files["umt"] = "sft_umt.jsonl"
+        write(files["umt"], pooled)
     else:
         for pair, records in sorted(per_pair.items()):
-            name = f"sft_ilt_{pair}.jsonl"
-            write_jsonl(out_dir / name, lines(records))
-            files[pair] = name
+            files[pair] = f"sft_ilt_{pair}.jsonl"
+            write(files[pair], records)
 
     manifest = {
         "mode": config.mode.value,

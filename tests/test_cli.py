@@ -195,6 +195,24 @@ def test_extract_subcommand(tmp_path, capsys):
     assert ledger["flagged_untrustworthy"] is True
 
 
+def test_extract_reproduces_a_runs_extractions(tmp_path, corpora_manifest,
+                                               capsys):
+    manifest = _run_manifest_file(tmp_path, corpora_manifest,
+                                  templates=["ag", "ag_icl3"])
+    assert main(["run", "--manifest", str(manifest), "--mock",
+                 "garbage:0.3"]) == 0
+    run_dir = tmp_path / "run"
+    outputs = sorted((run_dir / "outputs").iterdir())
+    assert len(outputs) == 4
+    for path in outputs:
+        out_dir = tmp_path / "ex" / path.stem
+        assert main(["extract", "--outputs", str(path), "--out",
+                     str(out_dir)]) == 0
+        assert ((out_dir / "extractions.jsonl").read_bytes()
+                == (run_dir / "extractions" / path.name).read_bytes())
+    assert "excluded=0 " not in capsys.readouterr().out
+
+
 def test_extract_torn_line_is_typed_error(tmp_path, capsys):
     ref = PromptRef("en-gu", 1, "ag", 0)
     row = json.dumps(ModelOutput(ref, "Score: 5", 0.0, 1, TRANSPORT_OK).to_dict())

@@ -187,3 +187,103 @@ def test_unknown_pair_is_manifest_error(tmp_path, capsys, command, named):
     assert "error[ManifestError]" in err
     assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"model_name": 5},
+    {"model_name": None},
+    {"endpoint_url": 5},
+    {"max_context_tokens": 1.5},
+    {"max_context_tokens": True},
+    {"max_new_tokens": "256"},
+    {"max_retries": 1.5},
+    {"max_retries": False},
+    {"max_in_flight": 2.5},
+    {"max_in_flight": True},
+    {"token_estimator": 5},
+], ids=lambda setting: "{}={!r}".format(*next(iter(setting.items()))))
+def test_mistyped_inference_setting_is_manifest_error(tmp_path, capsys,
+                                                      setting):
+    manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"},
+                                  inference={"model_name": "m", **setting})
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert next(iter(setting)) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_corpus_manifest_listing_a_pair_twice_is_manifest_error(tmp_path,
+                                                                capsys):
+    manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"})
+    corpora = tmp_path / "data" / "corpora.jsonl"
+    record = corpora.read_text(encoding="utf-8").strip()
+    corpora.write_text(f"{record}\n{record}\n", encoding="utf-8")
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert f"{corpora} line 2: pair en-gu is already listed on line 1" in err
+    assert not (tmp_path / "run").exists()
+
+
+def _finished_run(tmp_path) -> tuple[Path, Path]:
+    """The run manifest of a finished one-combo mock run, and its outputs
+    file."""
+    manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"})
+    assert main(["run", "--manifest", str(manifest)]) == 0
+    outputs, = (tmp_path / "run" / "outputs").iterdir()
+    return manifest, outputs
+
+
+def _mistype_second_row(path: Path, name: str, value) -> None:
+    rows = [json.loads(line) for line in
+            path.read_text(encoding="utf-8").splitlines()]
+    row = rows[1] if name in rows[1] else rows[1]["prompt_ref"]
+    row[name] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,value", [
+    ("raw_text", 5),
+    ("latency_ms", "x"),
+    ("latency_ms", float("nan")),
+    ("segment_id", True),
+    ("attempts", 1.0),
+    ("pair", None),
+])
+@pytest.mark.parametrize("command", ["extract", "resume"])
+def test_mistyped_outputs_row_is_row_parse_error(tmp_path, capsys, command,
+                                                 name, value):
+    manifest, outputs = _finished_run(tmp_path)
+    _mistype_second_row(outputs, name, value)
+    capsys.readouterr()
+    argv = (["extract", "--outputs", str(outputs)] if command == "extract"
+            else ["run", "--manifest", str(manifest), "--resume"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error[RowParseError]: row 2:" in err
+    assert name in err
+
+
+@pytest.mark.parametrize("name,value", [
+    ("segment_id", True),
+    ("span", [1]),
+    ("span", [1, 2.0]),
+    ("score", "x"),
+    ("score", float("inf")),
+    ("reason", 5),
+])
+def test_mistyped_extractions_row_is_row_parse_error(tmp_path, capsys, name,
+                                                     value):
+    _finished_run(tmp_path)
+    extractions, = (tmp_path / "run" / "extractions").iterdir()
+    _mistype_second_row(extractions, name, value)
+    capsys.readouterr()
+    assert main(["score", "--manifest",
+                 str(tmp_path / "data" / "corpora.jsonl"), "--extractions",
+                 str(extractions), "--pair", "en-gu", "--template", "ag",
+                 "--out", str(tmp_path / "score")]) == 1
+    err = capsys.readouterr().err
+    assert "error[RowParseError]: row 2:" in err
+    assert name in err

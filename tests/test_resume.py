@@ -50,8 +50,8 @@ def _artifact_stats(out: Path) -> dict:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the pipeline's renders and JSONL writes: write_jsonl for
-    outputs and extractions, write_lines for the prompt file."""
+    """Counts of the pipeline's renders and JSONL writes: write_lines
+    writes the prompt, outputs and extractions files."""
     counts = {"render": 0, "write_jsonl": 0}
 
     def counting(name, fn):
@@ -62,9 +62,8 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(pipeline, "render_prompts",
                         counting("render", pipeline.render_prompts))
-    for writer in ("write_jsonl", "write_lines"):
-        monkeypatch.setattr(pipeline, writer,
-                            counting("write_jsonl", getattr(pipeline, writer)))
+    monkeypatch.setattr(pipeline, "write_lines",
+                        counting("write_jsonl", pipeline.write_lines))
     return counts
 
 

@@ -41,6 +41,15 @@ def test_records_carry_prompt_and_gold(ag_template):
         assert rec.meta["template_version"] == ag_template.version
 
 
+def test_records_share_their_pair_head(ag_template):
+    corpus = synthetic_corpus("en-gu", n_train=20, n_test=5)
+    records = build_records(corpus, ag_template)
+    head = records[0].head
+    assert head.endswith('Source text: "')
+    assert all(r.head is head and r.instruction.startswith(head)
+               for r in records)
+
+
 def test_records_round_trip_through_extraction(ag_template):
     corpus = synthetic_corpus("si-en", n_train=50, n_test=5)
     for rec, seg in zip(build_records(corpus, ag_template), corpus.train):

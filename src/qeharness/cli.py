@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import (SCORE_BINS, histogram, load_corpora, read_jsonl,
-                     read_records, split_size_warnings, write_json,
+from .corpus import (SCORE_BINS, Field, histogram, json_fields, load_corpora,
+                     read_json, read_records, split_size_warnings, write_json,
                      write_lines)
 from .errors import EmptyTrainSplit, HarnessError, ManifestError
 from .extraction import (ExtractionResult, extract_batch, extraction_lines,
@@ -213,12 +212,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_table(args) -> int:
-    summary_path = args.run_dir / "summary.json"
-    try:
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        reports = [CorrelationReport.from_dict(d) for d in summary["reports"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ManifestError(f"cannot read {summary_path}: {exc!r}") from exc
+    reports = read_json(args.run_dir / "summary.json", _summary_reports,
+                        ManifestError)
     if not reports:
         raise ManifestError("run produced no reports to tabulate")
 
@@ -234,12 +229,21 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _summary_reports(summary) -> list[CorrelationReport]:
+    return [CorrelationReport.from_dict(d) for d in json_fields(
+        summary, {"reports": Field((list,), items=dict)})["reports"]]
+
+
+_TOKENIZER_ROW = {"name": Field((str,)), "definition": Field((str,))}
+
+
 def cmd_fertility(args) -> int:
     corpora = load_corpora(_require_manifest(args))
     tokenizers = [
-        load_tokenizer(spec["name"],
-                       (args.tokenizers.parent / spec["definition"]).resolve())
-        for spec in read_jsonl(args.tokenizers)]
+        load_tokenizer(row["name"],
+                       (args.tokenizers.parent / row["definition"]).resolve())
+        for row in read_records(args.tokenizers,
+                                lambda d: json_fields(d, _TOKENIZER_ROW))]
 
     records = []
     failures = []

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (FileUnreadable, ManifestError, MissingColumn,
                      RowParseError, ScoreOutOfRange)
@@ -31,7 +31,8 @@ __all__ = [
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
     "write_corpus_tsv", "CorpusEntry", "load_corpus_manifest", "load_corpora",
     "EXPECTED_SPLIT_SIZES", "split_size_warnings", "write_jsonl",
-    "write_lines", "write_json", "read_jsonl", "read_records", "json_field",
+    "write_lines", "write_json", "read_jsonl", "read_records", "read_json",
+    "Field", "json_fields",
 ]
 
 
@@ -288,17 +289,22 @@ def write_json(path: str | Path, doc) -> str:
 
 def _write_atomic(path: str | Path, chunks: Iterable[str]) -> str:
     """Write the UTF-8 encoding of chunks to a temp file and move it into
-    place, so the file at path is never seen half written. Returns the
+    place, so the file at path is never seen half written; a write that
+    raises removes the temp file and leaves path as it was. Returns the
     SHA-256 hex digest of the bytes written, taken on the way out."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
-    with tmp.open("wb") as fh:
-        for chunk in chunks:
-            data = chunk.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt too: leave no temp file behind
+        tmp.unlink(missing_ok=True)
+        raise
     return digest.hexdigest()
 
 
@@ -321,29 +327,84 @@ def read_records(path: str | Path, from_dict: Callable[[dict], object],
         yield record
 
 
-def json_field(d: dict, name: str, *types: type):
-    """d[name], which must be a JSON value of one of types, matched exactly
-    (a bool is no int) and finite if a float. Persisted rows are read
-    through this, because their line writers format only the declared
-    types; a missing or mistyped field raises ValueError."""
-    if name not in d:
-        raise ValueError(f"missing field {name!r}")
-    value = d[name]
-    if type(value) not in types or (type(value) is float
-                                    and not math.isfinite(value)):
-        wanted = " or ".join("null" if t is type(None) else t.__name__
-                             for t in types)
-        raise ValueError(f"{name} must be {wanted}"
-                         f"{' (finite)' if float in types else ''}, "
-                         f"got {value!r}")
-    return value
+def read_json(path: str | Path, from_dict: Callable, error: type):
+    """from_dict of the JSON document at path. An unreadable file, bad
+    JSON, or a document from_dict rejects with ValueError raises error (a
+    HarnessError type) naming path."""
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+class Field(NamedTuple):
+    """A declared field of a JSON record: the JSON types its value may have
+    (None for null), matched exactly, so a bool is no int and a float must
+    be finite; the bounds of a number or of a list's length (lo itself
+    excluded if lo_open); the exact type of a list's items or an object's
+    values; and whether the field may be absent."""
+
+    types: tuple
+    lo: float | None = None
+    hi: float | None = None
+    items: type | None = None
+    optional: bool = False
+    lo_open: bool = False
+
+    def admits(self, value) -> bool:
+        kind = None if value is None else type(value)
+        if kind not in self.types or kind is float and not math.isfinite(value):
+            return False
+        if kind is list or kind is dict:
+            items = value.values() if kind is dict else value
+            if self.items and any(type(v) is not self.items for v in items):
+                return False
+            value = len(value)
+        elif kind is not int and kind is not float:
+            return True  # a string, boolean or null has no bounds
+        return ((self.lo is None or value > self.lo
+                 or value == self.lo and not self.lo_open)
+                and (self.hi is None or value <= self.hi))
+
+    def __str__(self) -> str:
+        """What the field admits, as an error names it."""
+        text = " or ".join("null" if t is None else "finite float"
+                           if t is float else t.__name__ for t in self.types)
+        if self.items is not None:
+            text += f" of {self.items.__name__}"
+        if self.lo is not None:
+            text += (f" in {'(' if self.lo_open else '['}{self.lo}, "
+                     f"{'inf' if self.hi is None else self.hi}]")
+        return text
+
+
+def json_fields(d, declared: dict[str, Field]) -> dict:
+    """The fields of the JSON object d that declared names, each checked
+    against its Field; an optional field that is absent is left out. The
+    harness reads its JSON inputs through this, so that no value of an
+    undeclared type reaches a line formatter, a statistic or a setting. A d
+    that is not an object, or a missing or mistyped field, raises ValueError
+    naming it."""
+    if type(d) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    got = {}
+    for name, spec in declared.items():
+        if name in d:
+            value = got[name] = d[name]
+            if not spec.admits(value):
+                raise ValueError(f"{name} must be {spec}, got {value!r}")
+        elif not spec.optional:
+            raise ValueError(f"missing field {name!r}")
+    return got
 
 
 def _numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """read_jsonl's objects, each with its 1-based line number."""
+    """read_jsonl's objects, each with its 1-based line number. Lines are
+    read as bytes, so json.loads decodes each one and a line that is not
+    UTF-8 is a bad line like any other."""
     path = Path(path)
     try:
-        fh = path.open("r", encoding="utf-8")
+        fh = path.open("rb")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -352,7 +413,7 @@ def _numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
                 raise RowParseError(lineno,
                                     f"bad JSON in {path}: {exc}") from exc
             if not isinstance(rec, dict):
@@ -371,6 +432,11 @@ class CorpusEntry:
     test_path: Path
     column_map: ColumnMap = field(default_factory=ColumnMap)
 
+    # a manifest record's fields
+    JSON_FIELDS = {"pair": Field((str,)), "train": Field((str,)),
+                   "test": Field((str,)),
+                   "columns": Field((dict,), items=str, optional=True)}
+
 
 def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
     """Parse a line-oriented manifest: one JSON record per line with fields
@@ -381,16 +447,8 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
     entries = []
     seen: dict[LangPair, int] = {}  # pair -> the line that listed it
     for lineno, rec in _numbered_jsonl(path):
-        for key in ("pair", "train", "test"):
-            if key not in rec:
-                raise MissingColumn(key)
-        columns = rec.get("columns", {})
-        if not (all(isinstance(rec[k], str) for k in ("pair", "train", "test"))
-                and isinstance(columns, dict)
-                and all(isinstance(v, str) for v in columns.values())):
-            raise ManifestError(f"{path} line {lineno}: pair, train and test "
-                                "must be strings and columns map to strings")
         try:
+            rec = json_fields(rec, CorpusEntry.JSON_FIELDS)
             pair = LangPair.parse(rec["pair"])
         except ValueError as exc:
             raise ManifestError(f"{path} line {lineno}: {exc}") from exc
@@ -402,7 +460,7 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
             pair=pair,
             train_path=(path.parent / rec["train"]).resolve(),
             test_path=(path.parent / rec["test"]).resolve(),
-            column_map=ColumnMap.from_dict(columns),
+            column_map=ColumnMap.from_dict(rec.get("columns", {})),
         ))
     return entries
 

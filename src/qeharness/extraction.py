@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import json_field
+from .corpus import Field, json_fields
 from .gateway import ModelOutput, PromptRef, TRANSPORT_OK, prompt_ref_encoder
 
 __all__ = [
@@ -138,6 +138,11 @@ class ExtractionResult:
     reason: str | None = None
     span: tuple[int, int] | None = None
 
+    JSON_FIELDS = {"prompt_ref": Field((dict,)),
+                   "score": Field((int, float, None)),
+                   "reason": Field((str, None)),
+                   "span": Field((list, None), 2, 2, int, optional=True)}
+
     def to_dict(self) -> dict:
         return {
             "prompt_ref": self.prompt_ref.to_dict(),
@@ -148,17 +153,14 @@ class ExtractionResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtractionResult":
-        """The result to_dict encoded; a missing or mistyped field raises
-        ValueError (see json_field). span may be absent."""
-        span = d.get("span")
-        if not (span is None or (type(span) is list and len(span) == 2
-                                 and all(type(v) is int for v in span))):
-            raise ValueError(f"span must be null or two integers, got {span!r}")
-        return cls(prompt_ref=PromptRef.from_dict(json_field(d, "prompt_ref",
-                                                             dict)),
-                   score=json_field(d, "score", int, float, type(None)),
-                   reason=json_field(d, "reason", str, type(None)),
-                   span=tuple(span) if span else None)
+        """The result to_dict encoded; span may be absent. A missing or
+        mistyped field (see json_fields), or a score and reason that no
+        Outcome holds, raises ValueError."""
+        f = json_fields(d, cls.JSON_FIELDS)
+        outcome = Outcome(f["score"], f["reason"],
+                          tuple(f["span"]) if f.get("span") else None)
+        return cls(PromptRef.from_dict(f["prompt_ref"]), outcome.score,
+                   outcome.reason, outcome.span)
 
 
 def extraction_lines(results: Iterable[ExtractionResult]) -> Iterator[str]:
@@ -195,6 +197,11 @@ class ExclusionLedger:
     excluded_count: int
     reasons: dict
 
+    JSON_FIELDS = {**{k: Field((str,)) for k in ("pair", "template", "model")},
+                   **{k: Field((int,), lo=0) for k in ("total",
+                                                       "excluded_count")},
+                   "reasons": Field((dict,), items=int)}
+
     @property
     def flagged_untrustworthy(self) -> bool:
         return untrustworthy(self.excluded_count, self.total)
@@ -205,9 +212,9 @@ class ExclusionLedger:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExclusionLedger":
-        """The ledger to_dict encoded; the derived flag is recomputed."""
-        return cls(**{k: v for k, v in d.items()
-                      if k != "flagged_untrustworthy"})
+        """The ledger to_dict encoded, its derived flag recomputed; a
+        missing or mistyped field raises ValueError (see json_fields)."""
+        return cls(**json_fields(d, cls.JSON_FIELDS))
 
 
 def exclusion_reasons(results: list[ExtractionResult]) -> dict[str, int]:

@@ -28,7 +28,7 @@ from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
-from .corpus import json_field
+from .corpus import Field, json_fields
 from .errors import EndpointMissing
 from .prompts import RenderedPrompt
 from .seeding import stable_hash
@@ -67,6 +67,9 @@ class PromptRef:
     template: str
     seed: int
 
+    JSON_FIELDS = {"pair": Field((str,)), "segment_id": Field((int,)),
+                   "template": Field((str,)), "seed": Field((int,))}
+
     @classmethod
     def of(cls, prompt: RenderedPrompt) -> "PromptRef":
         return cls(pair=prompt.pair, segment_id=prompt.target_segment_id,
@@ -79,11 +82,8 @@ class PromptRef:
     @classmethod
     def from_dict(cls, d: dict) -> "PromptRef":
         """The ref to_dict encoded; a missing or mistyped field raises
-        ValueError (see json_field)."""
-        return cls(pair=json_field(d, "pair", str),
-                   segment_id=json_field(d, "segment_id", int),
-                   template=json_field(d, "template", str),
-                   seed=json_field(d, "seed", int))
+        ValueError (see json_fields)."""
+        return cls(**json_fields(d, cls.JSON_FIELDS))
 
 
 def prompt_ref_encoder() -> Callable[[PromptRef], str]:
@@ -126,28 +126,20 @@ class InferenceConfig:
     retry_backoff_base: float = 1.0
     token_estimator: Callable[[str], int] | None = None
 
+    # every setting but token_estimator, which JSON cannot hold
+    JSON_FIELDS = {
+        "endpoint_url": Field((str, None)), "model_name": Field((str,)),
+        "temperature": Field((int, float), lo=0),
+        "max_context_tokens": Field((int,), lo=1),
+        "max_new_tokens": Field((int,), lo=1),
+        "request_timeout": Field((int, float), lo=0, lo_open=True),
+        "max_retries": Field((int,), lo=0), "max_in_flight": Field((int,), lo=1),
+        "retry_backoff_base": Field((int, float), lo=0)}
+
     def __post_init__(self) -> None:
-        if not isinstance(self.model_name, str):
-            raise ValueError(
-                f"model_name must be a string, got {self.model_name!r}")
-        if not isinstance(self.endpoint_url, (str, type(None))):
-            raise ValueError("endpoint_url must be a string or null, got "
-                             f"{self.endpoint_url!r}")
+        json_fields(vars(self), self.JSON_FIELDS)
         if not (self.token_estimator is None or callable(self.token_estimator)):
             raise ValueError("token_estimator must be callable or null")
-        for name, floor in (("temperature", ">="), ("request_timeout", ">"),
-                            ("retry_backoff_base", ">=")):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and (value > 0 if floor == ">" else value >= 0)):
-                raise ValueError(f"{name} must be a finite number {floor} 0")
-        # a bool is no int here
-        for name, floor in (("max_context_tokens", 1), ("max_new_tokens", 1),
-                            ("max_in_flight", 1), ("max_retries", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < floor:
-                raise ValueError(
-                    f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 def estimate_tokens(text: str, config: InferenceConfig) -> int:
@@ -166,6 +158,10 @@ class ModelOutput:
     attempt_count: int
     transport_status: str  # TRANSPORT_OK or a FAIL_* reason
 
+    JSON_FIELDS = {"prompt_ref": Field((dict,)), "raw_text": Field((str,)),
+                   "latency_ms": Field((int, float), lo=0),
+                   "attempts": Field((int,), lo=0), "status": Field((str,))}
+
     def to_dict(self) -> dict:
         return {
             "prompt_ref": self.prompt_ref.to_dict(),
@@ -178,13 +174,10 @@ class ModelOutput:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelOutput":
         """The output to_dict encoded; a missing or mistyped field raises
-        ValueError (see json_field)."""
-        return cls(prompt_ref=PromptRef.from_dict(json_field(d, "prompt_ref",
-                                                             dict)),
-                   raw_text=json_field(d, "raw_text", str),
-                   latency=json_field(d, "latency_ms", int, float) / 1000.0,
-                   attempt_count=json_field(d, "attempts", int),
-                   transport_status=json_field(d, "status", str))
+        ValueError (see json_fields)."""
+        f = json_fields(d, cls.JSON_FIELDS)
+        return cls(PromptRef.from_dict(f["prompt_ref"]), f["raw_text"],
+                   f["latency_ms"] / 1000.0, f["attempts"], f["status"])
 
 
 def output_lines(outputs: Iterable[ModelOutput]) -> Iterator[str]:

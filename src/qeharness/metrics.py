@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
+from .corpus import Field, json_fields
 from .errors import DegenerateVariance, TooFewPairs, ZeroVariance
 from .extraction import exclusion_reasons
 
@@ -313,14 +314,25 @@ class CorrelationReport:
     tau_variant: str = "b"
     exclusion_reasons: dict = field(default_factory=dict)
 
+    JSON_FIELDS = {
+        **{k: Field((str,)) for k in ("pair", "template", "model")},
+        **{k: Field((int,), lo=0) for k in ("n_used", "n_excluded")},
+        **{k: Field((int, float), -1, 1) for k in ("pearson_r", "spearman_rho",
+                                                   "kendall_tau")},
+        "t_stat": Field((int, float, None)), "p_value": Field((int, float), 0, 1),
+        "tau_variant": Field((str,), optional=True),
+        "exclusion_reasons": Field((dict,), items=int, optional=True)}
+
     def to_dict(self) -> dict:
         return {**asdict(self), "significance": self.significance.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorrelationReport":
-        d = dict(d)
-        d["significance"] = Significance(d["significance"])
-        return cls(**d)
+        """The report to_dict encoded, its significance recomputed from
+        p_value; a missing or mistyped field raises ValueError (see
+        json_fields)."""
+        f = json_fields(d, cls.JSON_FIELDS)
+        return cls(**f, significance=significance_of(f["p_value"]))
 
 
 def evaluate(gold_by_id: dict, results, *, pair: str, template: str,

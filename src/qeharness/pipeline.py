@@ -15,11 +15,11 @@ import hashlib
 import json
 import time
 from contextlib import closing, nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .corpus import (Corpus, load_corpora, read_records, write_json,
-                     write_lines)
+from .corpus import (Corpus, Field, json_fields, load_corpora, read_json,
+                     read_records, write_json, write_lines)
 from .errors import EndpointMissing, ManifestError, HarnessError
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
                          extraction_lines, untrustworthy)
@@ -57,19 +57,6 @@ PAIR_ORDER = ("en-gu", "en-hi", "en-mr", "en-ta", "en-te",
               "et-en", "ne-en", "si-en")
 
 
-# JSON types a run manifest's typed fields accept, matched exactly (a bool
-# is no int here), with how an error names them
-_FIELD_TYPES = {
-    "corpora_manifest": ((str,), "a string"),
-    "out_dir": ((str,), "a string"),
-    "template_dir": ((str, type(None)), "a string or null"),
-    "seed": ((int,), "an integer"),
-    "icl_seed": ((int, type(None)), "an integer or null"),
-    "mock": ((dict, type(None)), "an object or null"),
-    "resume": ((bool,), "true or false"),
-}
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a run; serialized alongside outputs."""
@@ -85,6 +72,17 @@ class RunManifest:
     template_dir: str | None = None
     resume: bool = False
 
+    JSON_FIELDS = {
+        "corpora_manifest": Field((str,)), "out_dir": Field((str,)),
+        "templates": Field((list,), items=str),
+        "seed": Field((int,), optional=True),
+        "icl_seed": Field((int, None), optional=True),
+        "pairs": Field((list, None), items=str, optional=True),
+        "inference": Field((dict,), optional=True),
+        "mock": Field((dict, None), optional=True),
+        "template_dir": Field((str, None), optional=True),
+        "resume": Field((bool,), optional=True)}
+
     def to_dict(self) -> dict:
         return {**asdict(self), "templates": [t.value for t in self.templates],
                 "pairs": list(self.pairs) if self.pairs else None}
@@ -92,66 +90,49 @@ class RunManifest:
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
         """The manifest a JSON object encodes; keys that name no field are
-        ignored, and a field of the wrong type raises ManifestError."""
-        if not isinstance(d, dict):
-            raise ManifestError("run manifest must be a JSON object")
+        ignored, and a missing or mistyped field raises ManifestError."""
         try:
-            templates = tuple(TemplateId(t) for t in d["templates"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"bad templates field: {exc}") from exc
-        if "corpora_manifest" not in d or "out_dir" not in d:
-            raise ManifestError("manifest needs corpora_manifest and out_dir")
-        for name, (types, wanted) in _FIELD_TYPES.items():
-            if name in d and type(d[name]) not in types:
-                raise ManifestError(f"{name} must be {wanted}, got {d[name]!r}")
-        pairs = d.get("pairs")
-        if pairs is not None and not (isinstance(pairs, list) and all(
-                isinstance(p, str) for p in pairs)):
-            raise ManifestError(
-                f"pairs must be a list of strings or null, got {pairs!r}")
-        known = {f.name for f in fields(cls)}
-        given = {k: v for k, v in d.items() if k in known}
+            given = json_fields(d, cls.JSON_FIELDS)
+            templates = tuple(TemplateId(t) for t in given["templates"])
+        except ValueError as exc:
+            raise ManifestError(f"bad run manifest: {exc}") from exc
         return cls(**{**given, "templates": templates,
-                      "pairs": tuple(pairs) if pairs else None})
+                      "pairs": tuple(given["pairs"]) if given.get("pairs")
+                      else None})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunManifest":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ManifestError(f"cannot read run manifest {path}: {exc}") from exc
+        return read_json(path, cls.from_dict, ManifestError)
+
+
+# policy -> (the one field its manifest encoding may hold, that field's
+# declaration, its default, how --mock parses it, the policy built from it)
+_MOCK_POLICIES = {
+    "echo-score": ("offset", Field((int, float, None), optional=True), None,
+                   float, lambda offset: EchoScore(
+                       None if offset is None else
+                       lambda g: round(g + offset, 1))),
+    "fixed": ("text", Field((str,), optional=True), "", str, Fixed),
+    "garbage": ("p", Field((int, float), 0, 1, optional=True), 0.1, float,
+                Garbage),
+    "fail": ("segment_ids", Field((list,), items=int, optional=True), [],
+             lambda v: [int(i) for i in v.split(",") if i],
+             lambda ids: Fail(segment_ids=frozenset(ids))),
+}
 
 
 def build_mock_policy(spec: dict):
     """Construct a mock policy from its manifest encoding, with defaults.
-    An offset, p or segment id that does not parse raises ManifestError."""
+    An unknown policy, or a field value its declaration does not admit,
+    raises ManifestError."""
     kind = spec.get("policy")
+    if type(kind) is not str or kind not in _MOCK_POLICIES:
+        raise ManifestError(f"unknown mock policy {kind!r}")
+    name, declared, default, _, build = _MOCK_POLICIES[kind]
     try:
-        if kind == "echo-score":
-            offset = spec.get("offset")
-            if offset is None:
-                return EchoScore()
-            offset = float(offset)
-            return EchoScore(transform=lambda g: round(g + offset, 1))
-        if kind == "fixed":
-            return Fixed(spec.get("text", ""))
-        if kind == "garbage":
-            return Garbage(float(spec.get("p", 0.1)))
-        if kind == "fail":
-            return Fail(segment_ids=frozenset(
-                int(i) for i in spec.get("segment_ids", [])))
-    except (TypeError, ValueError) as exc:
+        return build(json_fields(spec, {name: declared}).get(name, default))
+    except ValueError as exc:
         raise ManifestError(f"bad {kind} mock policy {spec!r}: {exc}") from exc
-    raise ManifestError(f"unknown mock policy {kind!r}")
-
-
-# --mock KIND:VALUE -> (manifest field, parser) for VALUE
-_MOCK_ARGS = {
-    "echo-score": ("offset", float),
-    "fixed": ("text", str),
-    "garbage": ("p", float),
-    "fail": ("segment_ids", lambda v: [int(i) for i in v.split(",") if i]),
-}
 
 
 def parse_mock_arg(text: str) -> dict:
@@ -159,9 +140,9 @@ def parse_mock_arg(text: str) -> dict:
     fixed:TEXT, garbage:0.1 or fail:3,5. A bare KIND leaves its value out,
     so build_mock_policy's default applies."""
     kind, _, rest = text.partition(":")
-    if kind not in _MOCK_ARGS:
+    if kind not in _MOCK_POLICIES:
         raise ManifestError(f"unknown mock policy {text!r}")
-    name, parse = _MOCK_ARGS[kind]
+    name, _, _, parse, _ = _MOCK_POLICIES[kind]
     try:
         return {"policy": kind, name: parse(rest)} if rest else {"policy": kind}
     except ValueError as exc:
@@ -307,12 +288,11 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     marker = _read_marker(marker_path) if manifest.resume else {}
     matches = marker.get("fingerprint") == fingerprint
     if matches and _artifacts_unchanged(artifacts, marker.get("artifacts")):
-        doc = json.loads(artifacts["report"].read_text(encoding="utf-8"))
-        report = (CorrelationReport.from_dict(doc["report"])
-                  if doc["report"] is not None else None)
+        report, ledger, error = read_json(artifacts["report"], _report_file,
+                                          ManifestError)
         log(f"{pair}/{tid.value}: skipped, finished under the same "
             "fingerprint")
-        return 0, report, ExclusionLedger.from_dict(doc["ledger"]), doc.get("error")
+        return 0, report, ledger, error
 
     # Only outputs the marker vouches for are kept, to be reused segment by
     # segment. Claiming the combo before anything is rewritten keeps a run
@@ -361,6 +341,18 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     digests["report"] = write_json(artifacts["report"], doc)
     write_json(marker_path, {"fingerprint": fingerprint, "artifacts": digests})
     return dispatched, report, ledger, error
+
+
+_REPORT_FILE_FIELDS = {"report": Field((dict, None)), "ledger": Field((dict,)),
+                       "error": Field((str, None), optional=True)}
+
+
+def _report_file(doc) -> tuple:
+    """(report, ledger, error) of a combo's report file."""
+    f = json_fields(doc, _REPORT_FILE_FIELDS)
+    report = (None if f["report"] is None
+              else CorrelationReport.from_dict(f["report"]))
+    return report, ExclusionLedger.from_dict(f["ledger"]), f.get("error")
 
 
 def _combo_fingerprint(manifest: RunManifest, corpus: Corpus, template,

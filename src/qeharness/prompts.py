@@ -17,7 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import ScoreBin, SCORE_BINS, Segment, Split, bin_of
+from .corpus import (SCORE_BINS, Field, ScoreBin, Segment, Split, bin_of,
+                     json_fields, read_json)
 from .errors import (EmptyBin, ExemplarCountMismatch, ExemplarLeakage,
                      PlaceholderUnresolved, TemplateInvalid, TemplateMissing)
 from .seeding import rank_key
@@ -116,6 +117,16 @@ def _default_template_dir() -> Path:
     return Path(resources.files("qeharness") / "templates")
 
 
+_MANIFEST_FIELDS = {t.value: Field((dict,), optional=True) for t in TemplateId}
+_ENTRY_FIELDS = {"file": Field((str,)), "version": Field((str,))}
+
+
+def _template_entries(manifest) -> dict:
+    """The template manifest's entries by id, each checked."""
+    return {tid: json_fields(entry, _ENTRY_FIELDS) for tid, entry
+            in json_fields(manifest, _MANIFEST_FIELDS).items()}
+
+
 def load_templates(directory: str | Path | None = None,
                    ) -> dict[TemplateId, PromptTemplate]:
     """Read the template manifest and every template body, validated.
@@ -127,23 +138,13 @@ def load_templates(directory: str | Path | None = None,
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise TemplateMissing(f"no template manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise TemplateInvalid(f"bad JSON in {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise TemplateInvalid(f"{manifest_path} is not a JSON object")
+    manifest = read_json(manifest_path, _template_entries, TemplateInvalid)
 
     templates = {}
     for tid in TemplateId:
         entry = manifest.get(tid.value)
         if entry is None:
             raise TemplateMissing(f"manifest has no entry for {tid.value}")
-        if not (isinstance(entry, dict) and all(
-                isinstance(entry.get(k), str) for k in ("file", "version"))):
-            raise TemplateInvalid(
-                f"{manifest_path}: entry {tid.value} needs string file and "
-                f"version fields, got {entry!r}")
         body_path = directory / entry["file"]
         if not body_path.is_file():
             raise TemplateMissing(f"template file missing: {body_path}")

@@ -3,6 +3,7 @@ cli.main as typed errors, before any run directory is written."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -26,7 +27,9 @@ def _run_manifest_file(tmp_path, **extra):
     return path
 
 
-@pytest.mark.parametrize("mock", ["garbage:x", "echo-score:five", "fail:1,a"])
+@pytest.mark.parametrize("mock", ["garbage:x", "echo-score:five", "fail:1,a",
+                                  "garbage:7", "garbage:-0.5", "echo-score:nan",
+                                  "echo-score:inf"])
 def test_unparsable_mock_arg_is_manifest_error(tmp_path, capsys, mock):
     manifest = _run_manifest_file(tmp_path)
     assert main(["run", "--manifest", str(manifest), "--mock", mock]) == 1
@@ -39,6 +42,14 @@ def test_unparsable_mock_arg_is_manifest_error(tmp_path, capsys, mock):
     {"policy": "echo-score", "offset": "five"},
     {"policy": "fail", "segment_ids": ["a"]},
     {"policy": "fail", "segment_ids": 3},
+    {"policy": "fixed", "text": 5},
+    {"policy": "garbage", "p": 7},
+    {"policy": "garbage", "p": "nan"},
+    {"policy": "garbage", "p": float("nan")},
+    {"policy": "garbage", "p": True},
+    {"policy": "fail", "segment_ids": [1.5]},
+    {"policy": "echo-score", "offset": float("inf")},
+    {"policy": ["echo-score"]},
 ])
 def test_unparsable_manifest_mock_is_manifest_error(tmp_path, capsys, mock):
     manifest = _run_manifest_file(tmp_path, mock=mock)
@@ -273,6 +284,9 @@ def test_mistyped_outputs_row_is_row_parse_error(tmp_path, capsys, command,
     ("score", "x"),
     ("score", float("inf")),
     ("reason", 5),
+    ("score", 5000.0),
+    ("score", -0.5),
+    ("reason", "NoNumericMatch"),
 ])
 def test_mistyped_extractions_row_is_row_parse_error(tmp_path, capsys, name,
                                                      value):
@@ -287,3 +301,75 @@ def test_mistyped_extractions_row_is_row_parse_error(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert "error[RowParseError]: row 2:" in err
     assert name in err
+
+
+@pytest.mark.parametrize("name,value,args", [
+    ("spearman_rho", "x", []),
+    ("n_excluded", "3", ["--detailed"]),
+    ("pair", 5, ["--detailed"]),
+    ("pearson_r", None, ["--metric", "r"]),
+    ("kendall_tau", 1.5, ["--metric", "tau"]),
+    ("p_value", 1.5, []),
+    ("exclusion_reasons", {"Ambiguous": "2"}, []),
+])
+def test_mistyped_summary_report_is_manifest_error(tmp_path, capsys, name,
+                                                    value, args):
+    _finished_run(tmp_path)
+    path = tmp_path / "run" / "summary.json"
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    summary["reports"][0][name] = value
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["table", "--run-dir", str(tmp_path / "run"), *args]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert name in err
+
+
+@pytest.mark.parametrize("part,name,value", [
+    ("report", "spearman_rho", "x"),
+    ("report", "n_used", None),
+    ("ledger", "total", "10"),
+    ("ledger", "reasons", []),
+])
+def test_report_file_failing_its_reader_on_resume_is_typed_error(
+        tmp_path, capsys, part, name, value):
+    # the marker is made to vouch for the edited report, so the combo is
+    # skipped and its report file read back
+    manifest, _ = _finished_run(tmp_path)
+    report_path, = (tmp_path / "run" / "reports").iterdir()
+    doc = json.loads(report_path.read_text(encoding="utf-8"))
+    doc[part][name] = value
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    marker_path = tmp_path / "run" / "fingerprints" / report_path.name
+    marker = json.loads(marker_path.read_text(encoding="utf-8"))
+    marker["artifacts"]["report"] = hashlib.sha256(
+        report_path.read_bytes()).hexdigest()
+    marker_path.write_text(json.dumps(marker), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(manifest), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert str(report_path) in err and name in err
+
+
+@pytest.mark.parametrize("row,named", [
+    ({"definition": "wl.json"}, "name"),
+    ({"name": 5, "definition": 3}, "name"),
+    ({"name": "words", "definition": ["wl.json"]}, "definition"),
+])
+def test_mistyped_tokenizer_row_is_row_parse_error(tmp_path, capsys, row,
+                                                   named):
+    corpora = write_corpus_manifest(
+        tmp_path / "data", [synthetic_corpus("en-gu", n_train=20, n_test=10)])
+    (tmp_path / "wl.json").write_text(json.dumps({"kind": "word_level"}),
+                                      encoding="utf-8")
+    tokenizers = tmp_path / "tokenizers.jsonl"
+    tokenizers.write_text(
+        json.dumps({"name": "words", "definition": "wl.json"}) + "\n"
+        + json.dumps(row) + "\n", encoding="utf-8")
+    assert main(["fertility", "--manifest", str(corpora), "--tokenizers",
+                 str(tokenizers), "-k", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error[RowParseError]: row 2:" in err
+    assert named in err

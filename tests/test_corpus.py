@@ -7,7 +7,7 @@ from qeharness.corpus import (ColumnMap, LangPair, LoadDiagnostic, ScoreBin,
                               SCORE_BINS, Segment, Split, bin_of, histogram,
                               load_corpora, load_corpus, split_size_warnings,
                               write_corpus_tsv)
-from qeharness.corpus import read_jsonl, write_jsonl
+from qeharness.corpus import read_jsonl, write_jsonl, write_lines
 from qeharness.errors import (FileUnreadable, MissingColumn, RowParseError,
                               ScoreOutOfRange)
 
@@ -234,6 +234,22 @@ def test_jsonl_round_trip_lands_without_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
 
+@pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+def test_write_that_raises_leaves_no_temp_file(tmp_path, fault):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("before\n", encoding="utf-8")
+
+    def lines():
+        for i in range(200):  # past the first 64-line chunk
+            yield f"line {i}\n"
+        raise fault("stop")
+
+    with pytest.raises(fault):
+        write_lines(path, lines())
+    assert path.read_text(encoding="utf-8") == "before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n  \n{"a": 2}', encoding="utf-8")
@@ -248,6 +264,14 @@ def test_read_jsonl_bad_line_is_typed(tmp_path, text, row):
     with pytest.raises(RowParseError) as err:
         list(read_jsonl(path))
     assert err.value.row == row
+
+
+def test_read_jsonl_line_that_is_not_utf8_is_typed(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+    with pytest.raises(RowParseError) as err:
+        list(read_jsonl(path))
+    assert err.value.row == 2
 
 
 def test_read_jsonl_missing_file_is_typed(tmp_path):

@@ -222,7 +222,7 @@ def cmd_table(args) -> int:
     else:
         text = render_table(reports, metric=args.metric, fmt=args.style)
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        write_lines(args.out, [text])
         print(f"wrote table to {args.out}")
     else:
         sys.stdout.write(text)
@@ -245,14 +245,9 @@ def cmd_fertility(args) -> int:
         for row in read_records(args.tokenizers,
                                 lambda d: json_fields(d, _TOKENIZER_ROW))]
 
-    records = []
-    failures = []
-    for corpus in corpora:
-        sampled = sample_sentences(corpus, k=args.sample_size,
-                                   seed=args.seed or 0)
-        recs, fails = measure(sampled, tokenizers)
-        records.extend(recs)
-        failures.extend(fails)
+    sampled = [seg for corpus in corpora for seg in sample_sentences(
+        corpus, k=args.sample_size, seed=args.seed or 0)]
+    records, failures = measure(sampled, tokenizers)
 
     summaries = summarize(records)
     for s in summaries:

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import json
-import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -23,8 +22,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (FileUnreadable, ManifestError, MissingColumn,
                      RowParseError, ScoreOutOfRange)
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "LangPair", "Split", "Segment", "Corpus", "ScoreBin", "SCORE_BINS",
@@ -486,10 +483,7 @@ def load_corpora(manifest_path: str | Path, *, strict: bool = False,
         digest = hashlib.sha256(json.dumps(
             [asdict(entry.column_map), train_hash.hexdigest(),
              test_hash.hexdigest()]).encode()).hexdigest()
-        corpus = Corpus(entry.pair, tuple(train), tuple(test), digest)
-        for warning in split_size_warnings(corpus):
-            log.info("%s", warning)  # advisory only; ingest prints them
-        corpora.append(corpus)
+        corpora.append(Corpus(entry.pair, tuple(train), tuple(test), digest))
     return corpora
 
 

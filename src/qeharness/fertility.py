@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Segment, write_jsonl
+from .corpus import (Corpus, Field, Segment, json_fields, write_jsonl,
+                     write_lines)
 from .errors import FileUnreadable, SampleTooLarge, TokenizerDefinitionError
 from .seeding import seeded_sample
 
@@ -49,7 +51,14 @@ class _WordLevel:
         return text.split()
 
 
-class _Bpe:
+class _PerWord:
+    """An engine that tokenizes each whitespace word of a text on its own."""
+
+    def tokenize(self, text: str) -> list[str]:
+        return [token for word in text.split() for token in self._word(word)]
+
+
+class _Bpe(_PerWord):
     """Greedy byte-pair merging over whitespace words.
 
     Each word starts as its character sequence; the lowest-ranked applicable
@@ -63,7 +72,7 @@ class _Bpe:
             raise TokenizerDefinitionError("bpe definition has no merges")
         self._rank = {tuple(m): i for i, m in enumerate(merges)}
 
-    def _merge_word(self, word: str) -> list[str]:
+    def _word(self, word: str) -> list[str]:
         symbols = list(word)
         while len(symbols) > 1:
             best = None
@@ -77,14 +86,8 @@ class _Bpe:
             symbols[best:best + 2] = [symbols[best] + symbols[best + 1]]
         return symbols
 
-    def tokenize(self, text: str) -> list[str]:
-        tokens: list[str] = []
-        for word in text.split():
-            tokens.extend(self._merge_word(word))
-        return tokens
 
-
-class _Unigram:
+class _Unigram(_PerWord):
     """Viterbi segmentation under a unigram piece model.
 
     Words are prefixed with the conventional word-boundary mark before
@@ -101,7 +104,7 @@ class _Unigram:
         self._max_len = max(len(p) for p in pieces)
         self._unk_logprob = min(pieces.values()) - 10.0
 
-    def _segment_word(self, word: str) -> list[str]:
+    def _word(self, word: str) -> list[str]:
         text = _WORD_BOUNDARY_MARK + word
         n = len(text)
         best = [-math.inf] * (n + 1)
@@ -127,12 +130,6 @@ class _Unigram:
         tokens.reverse()
         return tokens
 
-    def tokenize(self, text: str) -> list[str]:
-        tokens: list[str] = []
-        for word in text.split():
-            tokens.extend(self._segment_word(word))
-        return tokens
-
 
 @dataclass(frozen=True)
 class TokenizerHandle:
@@ -147,29 +144,52 @@ class TokenizerHandle:
         return len(self.engine.tokenize(text))
 
 
+# a definition file's fields, and the parts of one of its merges or pieces
+_DEFINITION_FIELDS = {"kind": Field((str,)),
+                      "merges": Field((list,), items=list, optional=True),
+                      "pieces": Field((list,), items=list, optional=True)}
+_MERGE = {"left": Field((str,)), "right": Field((str,))}
+_PIECE = {"piece": Field((str,)), "logprob": Field((int, float))}
+
+
+def _parts(entry: list, declared: dict) -> tuple:
+    """A merge or piece list as the tuple of its declared parts; a list of
+    another length, or a mistyped part, raises ValueError naming it."""
+    if len(entry) != len(declared):
+        raise ValueError(f"{entry!r} is not a list of {', '.join(declared)}")
+    return tuple(json_fields(dict(zip(declared, entry)), declared).values())
+
+
 def load_tokenizer(name: str, definition_path: str | Path) -> TokenizerHandle:
     """Load a serialized definition and sanity-check it on "hello".
 
     Definition files are JSON with a "kind" field and, depending on kind,
     "merges" (pairs, rank order) or "pieces" ([piece, logprob] entries).
     A "special_tokens" list, if present, is ignored: specials never count.
+    An unreadable file raises FileUnreadable; one that is not JSON, or
+    whose fields are missing or mistyped, TokenizerDefinitionError.
     """
     definition_path = Path(definition_path)
     try:
-        spec = json.loads(definition_path.read_text(encoding="utf-8"))
+        data = definition_path.read_bytes()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {definition_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TokenizerDefinitionError(
-            f"{definition_path} is not valid JSON: {exc}") from exc
+    try:  # bad UTF-8, JSON or field, or a logprob beyond a float's range
+        spec = json_fields(json.loads(data.decode("utf-8")),
+                           _DEFINITION_FIELDS)
+        merges = [_parts(m, _MERGE) for m in spec.get("merges", [])]
+        pieces = {p: float(lp) for p, lp in
+                  (_parts(e, _PIECE) for e in spec.get("pieces", []))}
+    except (ValueError, OverflowError) as exc:
+        raise TokenizerDefinitionError(f"{definition_path}: {exc}") from exc
 
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == KIND_WORD_LEVEL:
         engine = _WordLevel()
     elif kind == KIND_BPE:
-        engine = _Bpe([tuple(m) for m in spec.get("merges", [])])
+        engine = _Bpe(merges)
     elif kind == KIND_UNIGRAM:
-        engine = _Unigram({p: float(lp) for p, lp in spec.get("pieces", [])})
+        engine = _Unigram(pieces)
     else:
         raise TokenizerDefinitionError(
             f"{definition_path}: unknown tokenizer kind {kind!r}")
@@ -248,15 +268,6 @@ class FertilitySummary:
     median_fertility: float
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def summarize(records: list[FertilityRecord]) -> list[FertilitySummary]:
     """Per (pair, tokenizer) means and medians, ordered by pair then name."""
     groups: dict[tuple[str, str], list[FertilityRecord]] = {}
@@ -273,7 +284,7 @@ def summarize(records: list[FertilityRecord]) -> list[FertilitySummary]:
             mean_words=sum(r.word_count for r in rows) / len(rows),
             mean_tokens=sum(r.token_counts[name] for r in rows) / len(rows),
             mean_fertility=sum(fertilities) / len(fertilities),
-            median_fertility=_median(fertilities),
+            median_fertility=statistics.median(fertilities),
         ))
     return summaries
 
@@ -285,7 +296,7 @@ def write_summary_tsv(summaries: list[FertilitySummary], path: str | Path) -> No
         lines.append(f"{s.pair}\t{s.tokenizer}\t{s.n_sentences}"
                      f"\t{s.mean_words:.3f}\t{s.mean_tokens:.3f}"
                      f"\t{s.mean_fertility:.4f}\t{s.median_fertility:.4f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, (line + "\n" for line in lines))
 
 
 def write_records_jsonl(records: list[FertilityRecord], path: str | Path) -> None:
@@ -302,4 +313,4 @@ def write_plot_data_tsv(summaries: list[FertilitySummary], path: str | Path) -> 
             seen_pairs.append(s.pair)
             lines.append(f"{s.pair}\twords\t{s.mean_words:.3f}")
         lines.append(f"{s.pair}\t{s.tokenizer}\t{s.mean_tokens:.3f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, (line + "\n" for line in lines))

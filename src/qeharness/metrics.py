@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .corpus import Field, json_fields
-from .errors import DegenerateVariance, TooFewPairs, ZeroVariance
+from .errors import (DegenerateVariance, ManifestError, TooFewPairs,
+                     ZeroVariance)
 from .extraction import exclusion_reasons
 
 __all__ = [
@@ -220,25 +221,18 @@ def _beta_cf(x: float, a: float, b: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        numer = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numer * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numer / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numer = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numer * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numer / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even term's numerator, then the odd term's
+        for numer in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + numer * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + numer / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -341,17 +335,18 @@ def evaluate(gold_by_id: dict, results, *, pair: str, template: str,
 
     Excluded rows are dropped from both vectors before any statistic is
     computed, preserving the pairing; `gold_by_id` maps segment id to the
-    human DA mean.
+    human DA mean of pair. A row of another pair, or whose segment id
+    gold_by_id lacks, raises ManifestError.
     """
     gold, pred = [], []
     for res in results:
-        if res.score is None:
-            continue
         seg_id = res.prompt_ref.segment_id
-        if seg_id not in gold_by_id:
-            raise KeyError(f"extraction references unknown segment {seg_id}")
-        gold.append(gold_by_id[seg_id])
-        pred.append(res.score)
+        if res.prompt_ref.pair != pair or seg_id not in gold_by_id:
+            raise ManifestError(f"segment {seg_id} of {res.prompt_ref.pair} "
+                                f"is not in the {pair} test split")
+        if res.score is not None:
+            gold.append(gold_by_id[seg_id])
+            pred.append(res.score)
 
     if len(gold) < 2:
         raise TooFewPairs(f"only {len(gold)} scored pairs after exclusions")

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
-from contextlib import closing, nullcontext
+import logging
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import (Corpus, Field, json_fields, load_corpora, read_json,
-                     read_records, write_json, write_lines)
+                     read_records, split_size_warnings, write_json,
+                     write_lines)
 from .errors import EndpointMissing, ManifestError, HarnessError
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
                          extraction_lines, untrustworthy)
@@ -30,6 +31,8 @@ from .metrics import CorrelationReport, Significance, evaluate
 from .prompts import (ICL_TEMPLATES, IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
                       load_templates, prompt_lines, render_icl,
                       render_zero_shot, select_icl_exemplars)
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ERROR_TAXONOMY", "RunManifest", "RunResult", "run", "build_mock_policy",
@@ -231,30 +234,28 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         (out / sub).mkdir(parents=True, exist_ok=True)
     write_json(out / "manifest.json", manifest.to_dict())
 
-    log_path = out / "log.txt"
     reports: list[CorrelationReport] = []
     ledgers: list[ExclusionLedger] = []
     errors: dict = {}
     dispatched_total = 0
 
-    with owned, log_path.open("a", encoding="utf-8") as run_log:
-        def log(msg: str) -> None:
-            run_log.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {msg}\n")
-
-        log(f"run start: {len(corpora)} pairs, "
-            f"{len(manifest.templates)} templates")
+    with owned, _run_log(out / "log.txt"):
+        log.info("run start: %d pairs, %d templates", len(corpora),
+                 len(manifest.templates))
         for corpus in corpora:
+            for warning in split_size_warnings(corpus):
+                log.info("%s", warning)
             for tid in manifest.templates:
                 dispatched, report, ledger, error = _run_combo(
                     manifest, corpus, tid, templates[tid], base_cfg, backend,
-                    out, log)
+                    out)
                 dispatched_total += dispatched
                 ledgers.append(ledger)
                 if report is not None:
                     reports.append(report)
                 if error is not None:
                     errors[(str(corpus.pair), tid.value)] = error
-        log(f"run end: {dispatched_total} prompts dispatched")
+        log.info("run end: %d prompts dispatched", dispatched_total)
 
     summary = {
         "reports": [r.to_dict() for r in reports],
@@ -268,8 +269,29 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
                      inference_calls=dispatched_total, errors=errors)
 
 
+@contextmanager
+def _run_log(path: Path):
+    """While the block runs, append the qeharness logger's INFO and higher
+    records to path, and print on stderr the warnings logging.lastResort
+    printed before; restore the logger's handlers and level after."""
+    logger = logging.getLogger("qeharness")
+    handlers, level = logger.handlers, logger.level
+    stderr = [] if logger.hasHandlers() else [logging.lastResort]
+    run_log = logging.FileHandler(path, encoding="utf-8")
+    run_log.setFormatter(logging.Formatter("%(asctime)s %(message)s",
+                                           "%Y-%m-%dT%H:%M:%S"))
+    logger.handlers = [*handlers, run_log, *filter(None, stderr)]
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.handlers = handlers
+        logger.setLevel(level)
+        run_log.close()
+
+
 def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
-               template, base_cfg: InferenceConfig, backend, out: Path, log):
+               template, base_cfg: InferenceConfig, backend, out: Path):
     pair = str(corpus.pair)
     seed = manifest.seed
     cfg = base_cfg
@@ -290,8 +312,8 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     if matches and _artifacts_unchanged(artifacts, marker.get("artifacts")):
         report, ledger, error = read_json(artifacts["report"], _report_file,
                                           ManifestError)
-        log(f"{pair}/{tid.value}: skipped, finished under the same "
-            "fingerprint")
+        log.info("%s/%s: skipped, finished under the same fingerprint", pair,
+                 tid.value)
         return 0, report, ledger, error
 
     # Only outputs the marker vouches for are kept, to be reused segment by
@@ -320,8 +342,8 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     outputs = [by_segment[p.target_segment_id] for p in prompts]
     digests["outputs"] = write_lines(artifacts["outputs"],
                                      output_lines(outputs))
-    log(f"{pair}/{tid.value}: {dispatched} dispatched, "
-        f"{len(persisted)} resumed")
+    log.info("%s/%s: %d dispatched, %d resumed", pair, tid.value, dispatched,
+             len(persisted))
 
     results, ledger = extract_batch(outputs, model=cfg.model_name)
     digests["extractions"] = write_lines(artifacts["extractions"],
@@ -337,7 +359,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
     except HarnessError as exc:
         error = f"{type(exc).__name__}: {exc}"
         doc = {"report": None, "ledger": ledger.to_dict(), "error": error}
-        log(f"{pair}/{tid.value}: evaluation failed: {error}")
+        log.info("%s/%s: evaluation failed: %s", pair, tid.value, error)
     digests["report"] = write_json(artifacts["report"], doc)
     write_json(marker_path, {"fingerprint": fingerprint, "artifacts": digests})
     return dispatched, report, ledger, error
@@ -418,11 +440,6 @@ def _safe(name: str) -> str:
 
 _METRIC_ATTR = {"r": "pearson_r", "rho": "spearman_rho", "tau": "kendall_tau"}
 
-# plain/TSV marker glyphs; the markup renderer uses real styling instead
-_GLYPH_ZERO_SHOT_BEST = "*"
-_GLYPH_ICL_BEST = "^"
-_GLYPH_OVERALL_BEST = "#"
-_GLYPH_INSIGNIFICANT = "†"  # dagger
 
 
 @dataclass(frozen=True)
@@ -449,12 +466,20 @@ def _pair_sort_key(pair: str):
     return (1, pair)
 
 
-def _axes(reports: list[CorrelationReport]):
-    """(pairs, templates, models) present in reports, in table order."""
+def _grid(reports: list[CorrelationReport]):
+    """(pairs, templates, models, rows): the pairs, templates and models
+    present in reports, in table order, and each (pair, template, row) in
+    that order whose row, the report of each model or None, holds one."""
     template_order = [t.value for t in TemplateId]
-    return (sorted({r.pair for r in reports}, key=_pair_sort_key),
-            sorted({r.template for r in reports}, key=template_order.index),
-            sorted({r.model for r in reports}))
+    pairs = sorted({r.pair for r in reports}, key=_pair_sort_key)
+    templates = sorted({r.template for r in reports}, key=template_order.index)
+    models = sorted({r.model for r in reports})
+    by_key = {(r.pair, r.template, r.model): r for r in reports}
+    present = {(r.pair, r.template) for r in reports}
+    return pairs, templates, models, [
+        (pair, template, [by_key.get((pair, template, m)) for m in models])
+        for pair in pairs for template in templates
+        if (pair, template) in present]
 
 
 def build_result_table(reports: list[CorrelationReport],
@@ -470,34 +495,22 @@ def build_result_table(reports: list[CorrelationReport],
         raise ValueError(f"metric must be one of {sorted(_METRIC_ATTR)}")
     attr = _METRIC_ATTR[metric]
 
-    pairs, templates, models = _axes(reports)
-
-    values: dict = {}
-    insig: dict = {}
-    for r in reports:
-        values[(r.pair, r.template, r.model)] = getattr(r, attr)
-        insig[(r.pair, r.template, r.model)] = r.significance is Significance.NS
-
-    zero_shot = {t.value for t in ZERO_SHOT_TEMPLATES}
-    icl = {t.value for t in ICL_TEMPLATES}
-    cells: dict = {}
-    for pair in pairs:
-        keys = [(pair, t, m) for t in templates for m in models
-                if (pair, t, m) in values]
-        zs_keys = [k for k in keys if k[1] in zero_shot]
-        icl_keys = [k for k in keys if k[1] in icl]
-        best_overall = max(keys, key=lambda k: values[k]) if keys else None
-        best_zs = max(zs_keys, key=lambda k: values[k]) if zs_keys else None
-        best_icl = max(icl_keys, key=lambda k: values[k]) if icl_keys else None
-        # max() returns the first maximal key in iteration order
-        for k in keys:
-            cells[k] = TableCell(
-                value=values[k],
-                zero_shot_best=(k == best_zs),
-                icl_best=(k == best_icl),
-                overall_best=(k == best_overall),
-                insignificant=insig[k],
-            )
+    pairs, templates, models, rows = _grid(reports)
+    found = {(pair, template, m): r for pair, template, row in rows
+             for m, r in zip(models, row) if r is not None}
+    # the keys of each pair's best zero-shot, ICL and overall cell; max()
+    # returns the first maximal cell in template-then-model order
+    zs_best, icl_best, best = ({
+        max((k for k in found if k[0] == pair and TemplateId(k[1]) in group),
+            default=None, key=lambda k: getattr(found[k], attr))
+        for pair in pairs}
+        for group in (ZERO_SHOT_TEMPLATES, ICL_TEMPLATES, TemplateId))
+    cells = {k: TableCell(value=getattr(r, attr),
+                          zero_shot_best=k in zs_best,
+                          icl_best=k in icl_best,
+                          overall_best=k in best,
+                          insignificant=r.significance is Significance.NS)
+             for k, r in found.items()}
     return ResultTable(metric=metric, pairs=pairs, templates=templates,
                        models=models, cells=cells)
 
@@ -513,17 +526,12 @@ def _cell_text(cell: TableCell | None, markup: bool) -> str:
             text = f"<u>{text}</u>"
         if cell.zero_shot_best:
             text += "\\*"
-        if cell.insignificant:
-            text += _GLYPH_INSIGNIFICANT
-        return text
-    if cell.zero_shot_best:
-        text += _GLYPH_ZERO_SHOT_BEST
-    if cell.icl_best:
-        text += _GLYPH_ICL_BEST
-    if cell.overall_best:
-        text += _GLYPH_OVERALL_BEST
+    else:  # the glyphs _LEGEND names
+        text += "".join(glyph for marked, glyph in (
+            (cell.zero_shot_best, "*"), (cell.icl_best, "^"),
+            (cell.overall_best, "#")) if marked)
     if cell.insignificant:
-        text += _GLYPH_INSIGNIFICANT
+        text += "†"
     return text
 
 
@@ -559,14 +567,9 @@ def render_table(reports: list[CorrelationReport], metric: str = "rho",
                  fmt: str = "plain") -> str:
     """Render the per-pair result grid in plain text, TSV, or markup."""
     table = build_result_table(reports, metric)
-    body = []
-    for pair in table.pairs:
-        for template in table.templates:
-            row_cells = [table.cells.get((pair, template, m))
-                         for m in table.models]
-            if any(c is not None for c in row_cells):
-                body.append([pair, template] + [
-                    _cell_text(c, markup=fmt == "markdown") for c in row_cells])
+    body = [[pair, template] + [
+        _cell_text(table.cells.get((pair, template, m)), fmt == "markdown")
+        for m in table.models] for pair, template, _ in _grid(reports)[3]]
     return _layout(["pair", "template"] + table.models, body, fmt,
                    (f"metric: {table.metric}", _LEGEND))
 
@@ -578,30 +581,22 @@ def render_detailed_table(reports: list[CorrelationReport],
     The exclusion count is flagged with * when more than 10% of a run's
     inferences were dropped, marking the row as untrustworthy.
     """
-    pairs, templates, models = _axes(reports)
-    by_key = {(r.pair, r.template, r.model): r for r in reports}
-    present = {(r.pair, r.template) for r in reports}
-
-    header = ["pair", "template"]
-    for model in models:
-        header += [f"{model}:r", f"{model}:rho", f"{model}:tau", f"{model}:E"]
+    _, _, models, rows = _grid(reports)
+    header = ["pair", "template"] + [f"{model}:{column}" for model in models
+                                     for column in ("r", "rho", "tau", "E")]
 
     body = []
-    for pair in pairs:
-        for template in templates:
-            if (pair, template) not in present:
+    for pair, template, row_reports in rows:
+        row = [pair, template]
+        for r in row_reports:
+            if r is None:
+                row += ["—"] * 4
                 continue
-            row = [pair, template]
-            for model in models:
-                r = by_key.get((pair, template, model))
-                if r is None:
-                    row += ["—"] * 4
-                    continue
-                flagged = untrustworthy(r.n_excluded, r.n_used + r.n_excluded)
-                row += [f"{r.pearson_r:.3f}", f"{r.spearman_rho:.3f}",
-                        f"{r.kendall_tau:.3f}",
-                        f"{r.n_excluded}{'*' if flagged else ''}"]
-            body.append(row)
+            flagged = untrustworthy(r.n_excluded, r.n_used + r.n_excluded)
+            row += [f"{r.pearson_r:.3f}", f"{r.spearman_rho:.3f}",
+                    f"{r.kendall_tau:.3f}",
+                    f"{r.n_excluded}{'*' if flagged else ''}"]
+        body.append(row)
     return _layout(header, body, fmt)
 
 
@@ -639,4 +634,4 @@ def write_worst_tsv(rows: list[dict], path: str | Path) -> None:
         lines.append(f"{r['pair']}\t{r['segment_id']}\t{r['source']}"
                      f"\t{r['translation']}\t{r['gold']}\t{r['pred']}"
                      f"\t{r['abs_dev']:.2f}\t")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, (line + "\n" for line in lines))

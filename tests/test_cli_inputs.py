@@ -373,3 +373,47 @@ def test_mistyped_tokenizer_row_is_row_parse_error(tmp_path, capsys, row,
     err = capsys.readouterr().err
     assert "error[RowParseError]: row 2:" in err
     assert named in err
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda rows: rows[1]["prompt_ref"].update(segment_id=999),
+     "segment 999 of en-gu"),
+    (lambda rows: [row["prompt_ref"].update(pair="si-en") for row in rows],
+     "segment 1 of si-en"),
+], ids=["unknown-segment", "other-pair"])
+def test_score_over_another_splits_rows_is_manifest_error(tmp_path, capsys,
+                                                          edit, named):
+    # a row naming a segment the en-gu test split lacks, and ten si-en rows
+    # scored against en-gu's gold scores
+    _finished_run(tmp_path)
+    extractions, = (tmp_path / "run" / "extractions").iterdir()
+    rows = [json.loads(line) for line in
+            extractions.read_text(encoding="utf-8").splitlines()]
+    edit(rows)
+    extractions.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                           encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", "--manifest",
+                 str(tmp_path / "data" / "corpora.jsonl"), "--extractions",
+                 str(extractions), "--pair", "en-gu", "--template", "ag",
+                 "--out", str(tmp_path / "score")]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert named in err and "en-gu test split" in err
+    assert not (tmp_path / "score").exists()
+
+
+def test_malformed_tokenizer_definition_is_typed_error(tmp_path, capsys):
+    corpora = write_corpus_manifest(
+        tmp_path / "data", [synthetic_corpus("en-gu", n_train=20, n_test=10)])
+    definition = tmp_path / "bpe.json"
+    definition.write_text(json.dumps({"kind": "bpe", "merges": 5}),
+                          encoding="utf-8")
+    tokenizers = tmp_path / "tokenizers.jsonl"
+    tokenizers.write_text(json.dumps({"name": "bpe", "definition": "bpe.json"})
+                          + "\n", encoding="utf-8")
+    assert main(["fertility", "--manifest", str(corpora), "--tokenizers",
+                 str(tokenizers), "-k", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error[TokenizerDefinitionError]" in err
+    assert str(definition) in err and "merges" in err

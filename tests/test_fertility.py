@@ -113,6 +113,44 @@ def test_load_rejects_bad_json(tmp_path):
         load_tokenizer("x", path)
 
 
+@pytest.mark.parametrize("spec", [
+    [],
+    {},
+    {"kind": 5},
+    {"kind": "bpe", "merges": 5},
+    {"kind": "bpe", "merges": [["a"]]},
+    {"kind": "bpe", "merges": [[1, 2]]},
+    {"kind": "bpe", "merges": [["a", "b", "c"]]},
+    {"kind": "bpe", "merges": ["ab"]},
+    {"kind": "unigram", "pieces": {"a": -1.0}},
+    {"kind": "unigram", "pieces": [["a", "x"]]},
+    {"kind": "unigram", "pieces": [["a"]]},
+    {"kind": "unigram", "pieces": [[1, 2.0]]},
+    {"kind": "unigram", "pieces": [["a", True]]},
+    {"kind": "unigram", "pieces": [["a", -1.0, 0]]},
+    {"kind": "unigram", "pieces": [["a", -10 ** 400]]},
+])
+def test_load_rejects_mistyped_definition(tmp_path, spec):
+    path = _definition(tmp_path, "bad", spec)
+    with pytest.raises(TokenizerDefinitionError) as err:
+        load_tokenizer("x", path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_definition_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "word_level", "note": "\u00e9"}'.encode(
+        "latin-1"))
+    with pytest.raises(TokenizerDefinitionError):
+        load_tokenizer("x", path)
+
+
+def test_load_accepts_integer_logprobs(tmp_path):
+    spec = {"kind": "unigram", "pieces": [["▁he", -1], ["llo", -2]]}
+    tok = load_tokenizer("uni", _definition(tmp_path, "ints", spec))
+    assert tok.engine.tokenize("hello") == ["▁he", "llo"]
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileUnreadable):
         load_tokenizer("x", tmp_path / "missing.json")

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import subprocess
+import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
+import qeharness.pipeline as pipeline
+from qeharness.corpus import Corpus, LangPair, Segment, Split
 from qeharness.errors import (EndpointMissing, HarnessError, ManifestError,
                               TemplateMissing)
 from qeharness.extraction import ExtractionResult
@@ -243,6 +250,112 @@ def test_run_all_garbage_records_error_not_crash(tmp_path):
     assert summary["errors"]
 
 
+# -- run log ------------------------------------------------------------------------
+
+def _sparse_manifest(tmp_path, **extra) -> RunManifest:
+    """An ag_icl5 mock run over en-gu with 5 train segments, none in the
+    71-90 bin, and 6 test segments: both splits are short of the published
+    sizes, and the empty bin falls back to its neighbour."""
+    pair = LangPair.parse("en-gu")
+    train = tuple(Segment(i, f"train source {i}", f"train mt {i}", score,
+                          pair, Split.TRAIN)
+                  for i, score in enumerate((10.0, 20.0, 40.0, 60.0, 95.0),
+                                            start=1))
+    test = synthetic_corpus("en-gu", n_train=0, n_test=6).test
+    corpora = write_corpus_manifest(tmp_path / "data",
+                                    [Corpus(pair, train, test)])
+    doc = {"corpora_manifest": str(corpora), "templates": ["ag_icl5"],
+           "out_dir": str(tmp_path / "run"), "seed": 7,
+           "inference": {"model_name": "mock-model"},
+           "mock": {"policy": "echo-score"}, **extra}
+    return RunManifest.from_dict(doc)
+
+
+_FALLBACK = "bin 71-90 has no unused exemplar for en-gu; substituting from"
+
+
+def test_run_log_holds_the_package_records(tmp_path):
+    manifest = _sparse_manifest(tmp_path)
+    test = synthetic_corpus("en-gu", n_train=0, n_test=6).test
+    gold = gold_map(test)
+    del gold[("en-gu", 4)]  # the mock raises KeyError on segment 4
+    # a backend that waits is called from a pool thread
+    backend = MockBackend(EchoScore(), gold=gold, latency=0.001)
+    result = run(manifest, backend=backend)
+    assert result.inference_calls == 6
+    lines = (tmp_path / "run" / "log.txt").read_text(
+        encoding="utf-8").splitlines()
+    stamped = [line for line in lines if line[:4].isdigit()]
+    assert all(line[4] + line[7] + line[10] + line[13] + line[16] + line[19]
+               == "--T:: " for line in stamped)
+    messages = [line[20:] for line in stamped]
+    assert messages[0] == "run start: 1 pairs, 1 templates"
+    assert "en-gu train split has 5 segments, expected 7000" in messages
+    assert "en-gu test split has 6 segments, expected 1000" in messages
+    assert any(m.startswith(_FALLBACK) for m in messages)
+    assert any(m.startswith("backend raised on PromptRef(pair='en-gu', "
+                            "segment_id=4") for m in messages)
+    assert "KeyError: \"mock backend has no gold score for ('en-gu', 4)\"" \
+        in lines
+    assert "en-gu/ag_icl5: 6 dispatched, 0 resumed" in messages
+    assert messages[-1] == "run end: 6 prompts dispatched"
+
+
+@pytest.mark.parametrize("raised", [None, ManifestError("refused"),
+                                    KeyboardInterrupt()])
+@pytest.mark.parametrize("preset", [False, True])
+def test_run_restores_the_package_logger(tmp_path, monkeypatch, raised,
+                                         preset):
+    logger = logging.getLogger("qeharness")
+    saved_level = logger.level
+    own = logging.NullHandler()
+    if preset:  # an application's own handler and level
+        logger.addHandler(own)
+        logger.setLevel(logging.ERROR)
+    before = (list(logger.handlers), logger.level)
+    opened = []
+    real = logging.FileHandler
+
+    def file_handler(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    def complete_batch(*args):
+        raise raised
+
+    monkeypatch.setattr(logging, "FileHandler", file_handler)
+    if raised is not None:
+        monkeypatch.setattr(pipeline, "complete_batch", complete_batch)
+    try:
+        with pytest.raises(type(raised)) if raised else nullcontext():
+            run(_run_manifest(tmp_path))
+        after = (list(logger.handlers), logger.level)
+    finally:
+        logger.removeHandler(own)
+        logger.setLevel(saved_level)
+    assert after == before
+    assert len(opened) == 1 and opened[0].stream is None  # closed
+    assert "run start" in (tmp_path / "run" / "log.txt").read_text()
+
+
+def test_run_warnings_reach_stderr_without_logging_configured(tmp_path):
+    manifest = _sparse_manifest(tmp_path)
+    manifest_path = tmp_path / "run.json"
+    manifest_path.write_text(json.dumps(manifest.to_dict()), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "qeharness.cli", "run", "--manifest",
+         str(manifest_path)], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert _FALLBACK in done.stderr
+    # INFO lines go to log.txt only, as before
+    assert "run start" not in done.stderr
+    assert "split has" not in done.stderr
+    log = (tmp_path / "run" / "log.txt").read_text(encoding="utf-8")
+    assert _FALLBACK in log and "split has 5 segments" in log
+
+
 # -- result tables ------------------------------------------------------------------
 
 def _report(pair, template, model, rho, p, r=None, tau=None, n_excluded=0):
@@ -362,6 +475,23 @@ def test_detailed_table_has_all_coefficients_and_exclusions():
     assert lines[1] == "en-ta\tgemba\t0.350\t0.220\t0.180\t6"
     # 14 excluded of 100 total is over the tolerated drop share
     assert lines[2] == "en-ta\tte\t0.010\t0.020\t0.010\t14*"
+
+
+def _rows(tsv: str) -> list[tuple[str, str]]:
+    return [tuple(line.split("\t")[:2]) for line in tsv.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("reports,rows", [
+    (SYNTH_REPORTS, [(pair, template) for pair in ("en-gu", "et-en")
+                     for template in ("gemba", "ag", "ag_icl5")]),
+    ([_report("et-en", "ag_icl5", "beta", 0.3, 0.01),
+      _report("en-gu", "ag", "alpha", 0.2, 0.01),
+      _report("en-gu", "gemba", "beta", 0.1, 0.2)],
+     [("en-gu", "gemba"), ("en-gu", "ag"), ("et-en", "ag_icl5")]),
+])
+def test_both_tables_list_the_same_rows(reports, rows):
+    assert _rows(render_table(reports, fmt="tsv")) == rows
+    assert _rows(render_detailed_table(reports, fmt="tsv")) == rows
 
 
 def test_detailed_table_rejects_unknown_format():

@@ -32,23 +32,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reference-less MT quality-estimation harness")
     parser.add_argument("--version", action="version", version=__version__)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for all deterministic choices (default 0; "
-                             "for run, the manifest seed)")
-    common.add_argument("--manifest", type=Path,
-                        help="corpus manifest (run: the run manifest)")
-    common.add_argument("--out", type=Path, help="output file or directory")
+    # one parent parser per shared flag; a subcommand takes those it reads
+    seed, manifest, out = (argparse.ArgumentParser(add_help=False)
+                           for _ in range(3))
+    seed.add_argument("--seed", type=int, default=None,
+                      help="seed for all deterministic choices (default 0; "
+                           "for run, the manifest seed)")
+    manifest.add_argument("--manifest", type=Path,
+                          help="corpus manifest (run: the run manifest)")
+    out.add_argument("--out", type=Path, help="output file or directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest", parents=[manifest],
                        help="validate corpora and print score histograms")
     p.add_argument("--strict", action="store_true",
                    help="abort on the first malformed row")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("render", parents=[common],
+    p = sub.add_parser("render", parents=[manifest, seed, out],
                        help="dump rendered prompts as JSONL")
     p.add_argument("--template", required=True,
                    choices=[t.value for t in TemplateId])
@@ -56,31 +58,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template-dir", type=Path)
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("run", parents=[common],
+    p = sub.add_parser("run", parents=[manifest, seed, out],
                        help="execute a full experiment from a run manifest")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--mock", help="mock policy, e.g. echo-score, "
                                   "fixed:TEXT, garbage:0.1, fail:3,5")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("extract", parents=[common],
+    p = sub.add_parser("extract", parents=[out],
                        help="extract scores from persisted raw outputs")
     p.add_argument("--outputs", type=Path, required=True)
     p.add_argument("--model", default="")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("score", parents=[common],
+    p = sub.add_parser("score", parents=[manifest, out],
                        help="correlation report from extraction results")
     p.add_argument("--extractions", type=Path, required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--template", required=True)
+    p.add_argument("--template", required=True,
+                   choices=[t.value for t in TemplateId])
     p.add_argument("--model", default="")
     p.add_argument("--dump-worst", type=int, metavar="K",
                    help="also write the K largest |pred-gold| rows for "
                         "manual error labeling")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[out],
                        help="render result tables from a finished run")
     p.add_argument("--run-dir", type=Path, required=True)
     p.add_argument("--metric", choices=["r", "rho", "tau"], default="rho")
@@ -90,17 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all coefficients plus the exclusion column")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("fertility", parents=[common],
+    p = sub.add_parser("fertility", parents=[manifest, seed, out],
                        help="token-count fertility analysis over test samples")
     p.add_argument("--tokenizers", type=Path, required=True,
                    help="JSONL manifest: {name, definition} per line")
     p.add_argument("-k", "--sample-size", type=int, default=100)
     p.set_defaults(func=cmd_fertility)
 
-    p = sub.add_parser("export-sft", parents=[common],
+    p = sub.add_parser("export-sft", parents=[manifest, seed, out],
                        help="build instruction-tuning datasets from train splits")
     p.add_argument("--mode", choices=[m.value for m in SftMode], required=True)
-    p.add_argument("--pair", help="restrict per-pair export to one pair")
+    p.add_argument("--pair", help="restrict the export to one pair")
     p.add_argument("--template-dir", type=Path)
     p.set_defaults(func=cmd_export_sft)
 
@@ -114,10 +117,7 @@ def _require_manifest(args) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    diagnostics = []
-    corpora = load_corpora(_require_manifest(args), strict=args.strict,
-                           diagnostics=diagnostics)
-    for corpus in corpora:
+    for corpus in load_corpora(_require_manifest(args), strict=args.strict):
         print(f"{corpus.pair}: train={len(corpus.train)} "
               f"test={len(corpus.test)}")
         for split_name, segments in (("train", corpus.train),
@@ -127,10 +127,6 @@ def cmd_ingest(args) -> int:
             print(f"  {split_name:5s} {bins}")
         for warning in split_size_warnings(corpus):
             print(f"  warning: {warning}")
-    if diagnostics:
-        print(f"{len(diagnostics)} malformed rows skipped")
-        for d in diagnostics[:20]:
-            print(f"  row {d.row}: {d.reason}")
     return 0
 
 
@@ -269,12 +265,11 @@ def cmd_fertility(args) -> int:
 
 
 def cmd_export_sft(args) -> int:
-    # a per-pair export of one pair reads only that pair's TSVs
-    pair = args.pair if args.mode == SftMode.ILT.value else None
+    # an export of one pair reads only that pair's TSVs
     corpora = load_corpora(_require_manifest(args),
-                           pairs=[pair] if pair else None)
-    if pair and not corpora:
-        raise EmptyTrainSplit(pair)
+                           pairs=[args.pair] if args.pair else None)
+    if args.pair and not corpora:
+        raise EmptyTrainSplit(args.pair)
     templates = load_templates(args.template_dir)
     config = SftConfig(mode=SftMode(args.mode), shuffle_seed=args.seed or 0)
     out_dir = args.out or Path("sft_export")

@@ -26,7 +26,7 @@ from .errors import (FileUnreadable, ManifestError, MissingColumn,
 __all__ = [
     "LangPair", "Split", "Segment", "Corpus", "ScoreBin", "SCORE_BINS",
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
-    "write_corpus_tsv", "CorpusEntry", "load_corpus_manifest", "load_corpora",
+    "CorpusEntry", "load_corpus_manifest", "load_corpora",
     "EXPECTED_SPLIT_SIZES", "split_size_warnings", "write_jsonl",
     "write_lines", "write_json", "read_jsonl", "read_records", "read_json",
     "Field", "json_fields",
@@ -85,12 +85,15 @@ class Segment:
 class Corpus:
     """A pair's splits. digest is the SHA-256 of the column map and the
     train and test TSV bytes they were loaded from; empty for a corpus
-    built in memory."""
+    built in memory. train_skipped and test_skipped are the rows of each
+    split that a lenient load skipped as malformed."""
 
     pair: LangPair
     train: tuple[Segment, ...]
     test: tuple[Segment, ...]
     digest: str = ""
+    train_skipped: tuple[LoadDiagnostic, ...] = ()
+    test_skipped: tuple[LoadDiagnostic, ...] = ()
 
 
 class ScoreBin(Enum):
@@ -148,11 +151,6 @@ class ColumnMap:
     source: str = "original"
     translation: str = "translation"
     score: str = "mean"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ColumnMap":
-        return cls(**{k: v for k, v in d.items()
-                      if k in ("source", "translation", "score")})
 
 
 @dataclass(frozen=True)
@@ -239,22 +237,6 @@ def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
         if diagnostics is not None:
             diagnostics.append(LoadDiagnostic(row_idx, reason))
     return segments
-
-
-def write_corpus_tsv(segments: list[Segment] | tuple[Segment, ...],
-                     path: str | Path,
-                     column_map: ColumnMap | None = None) -> None:
-    """Serialize segments back to the canonical TSV form.
-
-    Scores are written with repr() so a reload reproduces the exact float.
-    """
-    column_map = column_map or ColumnMap()
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, dialect="excel-tab")
-        writer.writerow([column_map.source, column_map.translation, column_map.score])
-        for seg in segments:
-            writer.writerow([seg.source, seg.translation, repr(seg.da_mean)])
 
 
 # -- JSON I/O ----------------------------------------------------------------
@@ -447,7 +429,9 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
         try:
             rec = json_fields(rec, CorpusEntry.JSON_FIELDS)
             pair = LangPair.parse(rec["pair"])
-        except ValueError as exc:
+            # an unknown columns key is a TypeError naming it
+            column_map = ColumnMap(**rec.get("columns", {}))
+        except (TypeError, ValueError) as exc:
             raise ManifestError(f"{path} line {lineno}: {exc}") from exc
         if pair in seen:
             raise ManifestError(f"{path} line {lineno}: pair {pair} is "
@@ -457,33 +441,34 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
             pair=pair,
             train_path=(path.parent / rec["train"]).resolve(),
             test_path=(path.parent / rec["test"]).resolve(),
-            column_map=ColumnMap.from_dict(rec.get("columns", {})),
+            column_map=column_map,
         ))
     return entries
 
 
 def load_corpora(manifest_path: str | Path, *, strict: bool = False,
-                 diagnostics: list[LoadDiagnostic] | None = None,
                  pairs: Iterable[str] | None = None) -> list[Corpus]:
-    """Load every manifest entry's splits, in manifest order. With pairs
-    given, only the listed pairs' entries are read; the other TSVs are
-    never opened."""
+    """Load every manifest entry's splits, in manifest order, each with the
+    rows it skipped (see load_corpus). With pairs given, only the listed
+    pairs' entries are read; the other TSVs are never opened."""
     wanted = set(pairs) if pairs else None
     corpora = []
     for entry in load_corpus_manifest(manifest_path):
         if wanted is not None and str(entry.pair) not in wanted:
             continue
         train_hash, test_hash = hashlib.sha256(), hashlib.sha256()
+        train_skipped, test_skipped = [], []
         train = load_corpus(entry.train_path, entry.pair, Split.TRAIN,
                             entry.column_map, strict=strict,
-                            diagnostics=diagnostics, hasher=train_hash)
+                            diagnostics=train_skipped, hasher=train_hash)
         test = load_corpus(entry.test_path, entry.pair, Split.TEST,
                            entry.column_map, strict=strict,
-                           diagnostics=diagnostics, hasher=test_hash)
+                           diagnostics=test_skipped, hasher=test_hash)
         digest = hashlib.sha256(json.dumps(
             [asdict(entry.column_map), train_hash.hexdigest(),
              test_hash.hexdigest()]).encode()).hexdigest()
-        corpora.append(Corpus(entry.pair, tuple(train), tuple(test), digest))
+        corpora.append(Corpus(entry.pair, tuple(train), tuple(test), digest,
+                              tuple(train_skipped), tuple(test_skipped)))
     return corpora
 
 
@@ -502,13 +487,19 @@ EXPECTED_SPLIT_SIZES: dict[str, tuple[int, int]] = {
 
 
 def split_size_warnings(corpus: Corpus) -> list[str]:
+    """One line per split of corpus whose size differs from the published
+    one, and one per split that skipped malformed rows, naming each row."""
     expected = EXPECTED_SPLIT_SIZES.get(str(corpus.pair))
-    if expected is None:
-        return []
     warnings = []
-    for name, got, want in (("train", len(corpus.train), expected[0]),
-                            ("test", len(corpus.test), expected[1])):
-        if got != want:
-            warnings.append(f"{corpus.pair} {name} split has {got} segments, "
-                            f"expected {want}")
+    for i, (name, segments, skipped) in enumerate((
+            ("train", corpus.train, corpus.train_skipped),
+            ("test", corpus.test, corpus.test_skipped))):
+        if expected and len(segments) != expected[i]:
+            warnings.append(f"{corpus.pair} {name} split has {len(segments)} "
+                            f"segments, expected {expected[i]}")
+        if skipped:
+            warnings.append(
+                f"{corpus.pair} {name} split skipped {len(skipped)} malformed "
+                "rows: " + ", ".join(f"row {d.row} {d.reason}"
+                                     for d in skipped))
     return warnings

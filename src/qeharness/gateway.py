@@ -21,7 +21,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 from urllib.parse import unquote, urlsplit
@@ -398,9 +398,10 @@ class HttpBackend:
 
 @dataclass(frozen=True)
 class EchoScore:
-    """Emit "Score: {f(gold)}" for the target segment's gold score."""
+    """Emit "Score: {gold}" for the target segment's gold score, or
+    "Score: {round(gold + offset, 1)}" with an offset."""
 
-    transform: Callable[[float], object] | None = None
+    offset: float | None = None
 
 
 @dataclass(frozen=True)
@@ -419,10 +420,10 @@ class Garbage:
 
 @dataclass(frozen=True)
 class Fail:
-    """Fail transport for the listed segment ids; defer to `base` elsewhere."""
+    """Fail transport for the listed segment ids; echo the gold score
+    elsewhere."""
 
     segment_ids: frozenset = frozenset()
-    base: object = field(default_factory=EchoScore)
 
 
 _GARBAGE_TEXTS = (
@@ -478,8 +479,9 @@ class MockBackend:
             return policy.text
         if isinstance(policy, EchoScore):
             gold = self._gold_of(prompt)
-            value = policy.transform(gold) if policy.transform else gold
-            return f"Score: {value}"
+            if policy.offset is not None:
+                gold = round(gold + policy.offset, 1)
+            return f"Score: {gold}"
         if isinstance(policy, Garbage):
             draw = stable_hash(self.seed, "garbage", prompt.pair,
                                prompt.target_segment_id) % 10**9 / 10**9
@@ -492,7 +494,7 @@ class MockBackend:
             if prompt.target_segment_id in policy.segment_ids:
                 raise TransportError(FAIL_MOCK, "programmed failure",
                                      retryable=False)
-            return self._apply(policy.base, prompt)
+            return self._apply(EchoScore(), prompt)
         raise TypeError(f"unknown mock policy: {policy!r}")
 
     def generate_once(self, prompt: RenderedPrompt) -> str:

@@ -17,6 +17,7 @@ from .corpus import Field, json_fields
 from .errors import (DegenerateVariance, ManifestError, TooFewPairs,
                      ZeroVariance)
 from .extraction import exclusion_reasons
+from .prompts import TemplateId
 
 __all__ = [
     "PairedSample", "pearson", "spearman", "kendall", "paired_t_test",
@@ -323,9 +324,10 @@ class CorrelationReport:
     @classmethod
     def from_dict(cls, d: dict) -> "CorrelationReport":
         """The report to_dict encoded, its significance recomputed from
-        p_value; a missing or mistyped field raises ValueError (see
-        json_fields)."""
+        p_value; a missing or mistyped field, or a template that is no
+        TemplateId, raises ValueError (see json_fields)."""
         f = json_fields(d, cls.JSON_FIELDS)
+        TemplateId(f["template"])
         return cls(**f, significance=significance_of(f["p_value"]))
 
 

@@ -92,10 +92,12 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        """The manifest a JSON object encodes; keys that name no field are
-        ignored, and a missing or mistyped field raises ManifestError."""
+        """The manifest a JSON object encodes; a key that names no field, or
+        a missing or mistyped field, raises ManifestError."""
         try:
             given = json_fields(d, cls.JSON_FIELDS)
+            if len(given) < len(d):
+                raise ValueError(f"unknown keys {sorted(d.keys() - given)}")
             templates = tuple(TemplateId(t) for t in given["templates"])
         except ValueError as exc:
             raise ManifestError(f"bad run manifest: {exc}") from exc
@@ -112,9 +114,7 @@ class RunManifest:
 # declaration, its default, how --mock parses it, the policy built from it)
 _MOCK_POLICIES = {
     "echo-score": ("offset", Field((int, float, None), optional=True), None,
-                   float, lambda offset: EchoScore(
-                       None if offset is None else
-                       lambda g: round(g + offset, 1))),
+                   float, EchoScore),
     "fixed": ("text", Field((str,), optional=True), "", str, Fixed),
     "garbage": ("p", Field((int, float), 0, 1, optional=True), 0.1, float,
                 Garbage),
@@ -126,14 +126,17 @@ _MOCK_POLICIES = {
 
 def build_mock_policy(spec: dict):
     """Construct a mock policy from its manifest encoding, with defaults.
-    An unknown policy, or a field value its declaration does not admit,
-    raises ManifestError."""
+    An unknown policy, a key its policy does not declare, or a field value
+    its declaration does not admit raises ManifestError."""
     kind = spec.get("policy")
     if type(kind) is not str or kind not in _MOCK_POLICIES:
         raise ManifestError(f"unknown mock policy {kind!r}")
     name, declared, default, _, build = _MOCK_POLICIES[kind]
     try:
-        return build(json_fields(spec, {name: declared}).get(name, default))
+        given = json_fields(spec, {"policy": Field((str,)), name: declared})
+        if len(given) < len(spec):
+            raise ValueError(f"unknown keys {sorted(spec.keys() - given)}")
+        return build(given.get(name, default))
     except ValueError as exc:
         raise ManifestError(f"bad {kind} mock policy {spec!r}: {exc}") from exc
 

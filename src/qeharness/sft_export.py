@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import Corpus, write_json, write_jsonl, write_lines
+from .corpus import Corpus, write_json, write_lines
 from .errors import EmptyTrainSplit
 from .prompts import PromptTemplate, TemplateId, render_zero_shot
 from .seeding import seeded_order
@@ -99,17 +99,14 @@ def _shuffled(records: list[SftRecord], seed: int) -> list[SftRecord]:
 
 
 def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
-           template: PromptTemplate, record_adapter=None) -> dict:
+           template: PromptTemplate) -> dict:
     """Write the dataset files and return the export manifest.
 
     Pooled mode writes sft_umt.jsonl; per-pair mode writes one
     sft_ilt_{pair}.jsonl per corpus. Files land atomically (temp + rename)
     and are byte-identical for a fixed shuffle seed. The manifest records
     per-pair counts and the hyperparameter memo, and is written alongside.
-
-    record_adapter, when given, maps each record dict to the dict actually
-    written, for consumers whose fine-tuning framework wants different
-    field names; without it each line is sft_lines' formatting of a record.
+    Each line is sft_lines' formatting of a record.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,12 +119,8 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     files: dict[str, str] = {}
 
     def write(name: str, records: list[SftRecord]) -> None:
-        ordered = _shuffled(records, config.shuffle_seed)
-        if record_adapter:
-            write_jsonl(out_dir / name,
-                        (record_adapter(r.to_dict()) for r in ordered))
-        else:
-            write_lines(out_dir / name, sft_lines(ordered))
+        write_lines(out_dir / name,
+                    sft_lines(_shuffled(records, config.shuffle_seed)))
 
     if config.mode is SftMode.UMT:
         pooled = [rec for records in per_pair.values() for rec in records]

@@ -58,10 +58,57 @@ def test_ingest_full_size_marathi_splits(tmp_path, capsys):
     assert "warning" not in out  # sizes match the published splits
 
 
+def test_skipped_rows_are_named_by_ingest_and_the_run_log(
+        tmp_path, corpora_manifest, capsys):
+    test_tsv = corpora_manifest.parent / "en-gu.test.tsv"
+    lines = test_tsv.read_text(encoding="utf-8").splitlines()
+    lines[3] = "src\tmt\tabc"  # data row 3: a score that is no number
+    lines[7] = "\tmt\t50"  # data row 7: an empty source
+    test_tsv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    note = ("en-gu test split skipped 2 malformed rows: row 3 BadNumber, "
+            "row 7 EmptySource")
+
+    assert main(["ingest", "--manifest", str(corpora_manifest)]) == 0
+    out = capsys.readouterr().out
+    assert f"warning: {note}" in out and out.count("malformed") == 1
+
+    manifest = _run_manifest_file(tmp_path, corpora_manifest)
+    assert main(["run", "--manifest", str(manifest), "--mock",
+                 "echo-score"]) == 0
+    assert "inference calls: 48" in capsys.readouterr().out
+    log = (tmp_path / "run" / "log.txt").read_text(encoding="utf-8")
+    assert note in log and log.count("malformed") == 1
+
+
 def test_unknown_flag_exits_2(corpora_manifest):
     with pytest.raises(SystemExit) as err:
         main(["ingest", "--manifest", str(corpora_manifest), "--bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--manifest", "m.jsonl", "--seed", "9"],
+    ["ingest", "--manifest", "m.jsonl", "--out", "x"],
+    ["extract", "--outputs", "o.jsonl", "--seed", "1"],
+    ["extract", "--outputs", "o.jsonl", "--manifest", "m.jsonl"],
+    ["score", "--manifest", "m.jsonl", "--extractions", "e.jsonl", "--pair",
+     "en-gu", "--template", "ag", "--seed", "1"],
+    ["table", "--run-dir", "run", "--seed", "3"],
+    ["table", "--run-dir", "run", "--manifest", "m.jsonl"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_score_template_must_be_a_template_id(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["score", "--manifest", "m.jsonl", "--extractions", "e.jsonl",
+              "--pair", "en-gu", "--template", "nonsense"])
+    assert err.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():
@@ -309,6 +356,18 @@ def test_export_sft_ilt_reads_only_its_pair(tmp_path, corpora_manifest,
     assert "si-en: 40 records" in printed
     assert "en-gu" not in printed
     assert (out_dir / "sft_ilt_si-en.jsonl").is_file()
+
+
+def test_export_sft_umt_pair_pools_only_that_pair(tmp_path, corpora_manifest,
+                                                  capsys):
+    out_dir = tmp_path / "sft"
+    assert main(["export-sft", "--manifest", str(corpora_manifest), "--mode",
+                 "umt", "--pair", "en-gu", "--out", str(out_dir)]) == 0
+    assert "total: 60 records" in capsys.readouterr().out
+    records = [json.loads(line) for line in
+               (out_dir / "sft_umt.jsonl").read_text().splitlines()]
+    assert len(records) == 60
+    assert {r["meta"]["pair"] for r in records} == {"en-gu"}
 
 
 def test_export_sft_ilt_unknown_pair_is_typed_error(tmp_path,

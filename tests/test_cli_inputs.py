@@ -224,6 +224,28 @@ def test_mistyped_inference_setting_is_manifest_error(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("fields,columns,key", [
+    ({"icl_sed": 3}, None, "icl_sed"),
+    ({"resum": True}, None, "resum"),
+    ({"mock": {"policy": "garbage", "pp": 1.0}}, None, "pp"),
+    ({}, {"sorce": "original"}, "sorce"),
+], ids=["run-icl_sed", "run-resum", "mock-pp", "columns-sorce"])
+def test_undeclared_key_is_manifest_error(tmp_path, capsys, fields, columns,
+                                          key):
+    manifest = _run_manifest_file(
+        tmp_path, **{"mock": {"policy": "garbage"}, **fields})
+    if columns:
+        corpora = tmp_path / "data" / "corpora.jsonl"
+        record = json.loads(corpora.read_text(encoding="utf-8"))
+        corpora.write_text(json.dumps({**record, "columns": columns}) + "\n",
+                           encoding="utf-8")
+    assert main(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert key in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_corpus_manifest_listing_a_pair_twice_is_manifest_error(tmp_path,
                                                                 capsys):
     manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"})
@@ -324,6 +346,20 @@ def test_mistyped_summary_report_is_manifest_error(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert "error[ManifestError]" in err
     assert name in err
+
+
+def test_summary_report_of_an_unknown_template_is_manifest_error(tmp_path,
+                                                                 capsys):
+    _finished_run(tmp_path)
+    path = tmp_path / "run" / "summary.json"
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    summary["reports"][0]["template"] = "foo"
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["table", "--run-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error[ManifestError]" in err
+    assert "'foo'" in err
 
 
 @pytest.mark.parametrize("part,name,value", [

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from qeharness.corpus import (ColumnMap, LangPair, LoadDiagnostic, ScoreBin,
                               SCORE_BINS, Segment, Split, bin_of, histogram,
-                              load_corpora, load_corpus, split_size_warnings,
-                              write_corpus_tsv)
+                              load_corpora, load_corpus, split_size_warnings)
 from qeharness.corpus import read_jsonl, write_jsonl, write_lines
 from qeharness.errors import (FileUnreadable, MissingColumn, RowParseError,
                               ScoreOutOfRange)
@@ -121,17 +120,6 @@ def test_load_corpus_happy_path(tmp_path):
     path = write_tsv(tmp_path / "train.tsv", segs)
     loaded = load_corpus(path, LangPair.parse("en-mr"), Split.TRAIN)
     assert loaded == segs
-
-
-def test_load_corpus_round_trip(tmp_path):
-    segs = synthetic_segments("si-en", n=40, split=Split.TEST)
-    first = tmp_path / "a.tsv"
-    second = tmp_path / "b.tsv"
-    write_tsv(first, segs)
-    loaded = load_corpus(first, LangPair.parse("si-en"), Split.TEST)
-    write_corpus_tsv(loaded, second)
-    reloaded = load_corpus(second, LangPair.parse("si-en"), Split.TEST)
-    assert reloaded == loaded
 
 
 def test_load_corpus_reports_bad_rows_lenient(tmp_path):

@@ -1,8 +1,9 @@
 """Fault injection through cli.main. Every JSON input is given a declared
 field holding a value its declaration does not admit, or is cut at a random
-byte; each run must end in exit 0, or in exit 1 with a typed error[...]
-line, never in a traceback. The wrong values come from the records' field
-declarations (JSON_FIELDS and the mock policies' fields)."""
+byte, and the run manifest and mock spec a key they do not declare; each
+run must end in exit 0, or in exit 1 with a typed error[...] line, never in
+a traceback. The wrong values come from the records' field declarations
+(JSON_FIELDS and the mock policies' fields)."""
 
 from __future__ import annotations
 
@@ -97,12 +98,23 @@ def _mistype_row(path: Path, data, declared: dict, nested: bool) -> tuple:
     return index + 1, name
 
 
+def _undeclared(declared) -> st.SearchStrategy:
+    """A (key, value) whose key declared does not name."""
+    return st.tuples(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1,
+                             max_size=12).filter(lambda k: k not in declared),
+                     st.sampled_from(_VALUES))
+
+
 _MANIFEST_FAULTS = st.one_of(
     _mistyped(RunManifest.JSON_FIELDS).map(lambda f: ({f[0]: f[1]}, f[0])),
+    _undeclared(RunManifest.JSON_FIELDS).map(lambda f: ({f[0]: f[1]}, f[0])),
     _mistyped(InferenceConfig.JSON_FIELDS).map(
         lambda f: ({"inference": {"model_name": "m", f[0]: f[1]}}, f[0])),
     st.sampled_from(sorted(_MOCK_POLICIES)).flatmap(lambda kind: _mistyped(
         {_MOCK_POLICIES[kind][0]: _MOCK_POLICIES[kind][1]}).map(
+        lambda f: ({"mock": {"policy": kind, f[0]: f[1]}}, f[0]))),
+    st.sampled_from(sorted(_MOCK_POLICIES)).flatmap(lambda kind: _undeclared(
+        {"policy", _MOCK_POLICIES[kind][0]}).map(
         lambda f: ({"mock": {"policy": kind, f[0]: f[1]}}, f[0]))),
     st.sampled_from(_VALUES).map(
         lambda v: ({"mock": {"policy": v}}, "mock policy")))

@@ -74,7 +74,7 @@ def test_manifest_file_missing():
 def test_mock_policy_parsing():
     assert isinstance(build_mock_policy({"policy": "echo-score"}), EchoScore)
     offset = build_mock_policy({"policy": "echo-score", "offset": 5.0})
-    assert offset.transform(10.0) == 15.0
+    assert offset == EchoScore(5.0)
     assert build_mock_policy({"policy": "fixed", "text": "hi"}) == Fixed("hi")
     assert build_mock_policy({"policy": "garbage", "p": 0.25}) == Garbage(0.25)
     fail = build_mock_policy({"policy": "fail", "segment_ids": [3, 5]})
@@ -82,6 +82,12 @@ def test_mock_policy_parsing():
     assert fail.segment_ids == frozenset({3, 5})
     with pytest.raises(ManifestError):
         build_mock_policy({"policy": "wat"})
+
+
+def test_mock_arg_and_manifest_give_equal_policies():
+    from qeharness.pipeline import parse_mock_arg
+    assert (build_mock_policy(parse_mock_arg("echo-score:5"))
+            == build_mock_policy({"policy": "echo-score", "offset": 5.0}))
 
 
 def test_mock_arg_and_manifest_share_defaults():

@@ -163,16 +163,3 @@ def test_no_temp_files_left_behind(tmp_path, ag_template):
     export(_corpora({"en-gu": 5}), SftConfig(SftMode.UMT), tmp_path,
            ag_template)
     assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_record_adapter_reshapes_lines(tmp_path, ag_template):
-    def alpaca_style(d):
-        return {"prompt": d["instruction"], "completion": d["output"]}
-
-    export(_corpora({"en-gu": 4}), SftConfig(SftMode.UMT), tmp_path,
-           ag_template, record_adapter=alpaca_style)
-    lines = (tmp_path / "sft_umt.jsonl").read_text().splitlines()
-    for line in lines:
-        rec = json.loads(line)
-        assert set(rec) == {"prompt", "completion"}
-        assert rec["completion"].startswith("Score: ")

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", required=True,
                    choices=[t.value for t in TemplateId])
     p.add_argument("--model", default="")
-    p.add_argument("--dump-worst", type=int, metavar="K",
+    p.add_argument("--dump-worst", type=positive_int, metavar="K",
                    help="also write the K largest |pred-gold| rows for "
                         "manual error labeling")
     p.set_defaults(func=cmd_score)
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="token-count fertility analysis over test samples")
     p.add_argument("--tokenizers", type=Path, required=True,
                    help="JSONL manifest: {name, definition} per line")
-    p.add_argument("-k", "--sample-size", type=int, default=100)
+    p.add_argument("-k", "--sample-size", type=positive_int, default=100)
     p.set_defaults(func=cmd_fertility)
 
     p = sub.add_parser("export-sft", parents=[manifest, seed, out],
@@ -108,6 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_sft)
 
     return parser
+
+
+def positive_int(text: str) -> int:
+    """A count flag's value; argparse refuses one below 1 (exit 2)."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
 
 
 def _require_manifest(args) -> Path:

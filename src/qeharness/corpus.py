@@ -27,7 +27,7 @@ __all__ = [
     "LangPair", "Split", "Segment", "Corpus", "ScoreBin", "SCORE_BINS",
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
     "CorpusEntry", "load_corpus_manifest", "load_corpora",
-    "EXPECTED_SPLIT_SIZES", "split_size_warnings", "write_jsonl",
+    "EXPECTED_SPLIT_SIZES", "split_size_warnings",
     "write_lines", "write_json", "read_jsonl", "read_records", "read_json",
     "Field", "json_fields",
 ]
@@ -130,8 +130,8 @@ def bin_of(score: float) -> ScoreBin:
         raise ScoreOutOfRange(f"score {score} outside [0, 100]")
     for b in SCORE_BINS:
         if score <= b.hi:
-            return b
-    return ScoreBin.B91_100  # unreachable for valid input
+            break
+    return b
 
 
 def histogram(segments: list[Segment] | tuple[Segment, ...]) -> dict[ScoreBin, int]:
@@ -240,16 +240,6 @@ def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
 
 
 # -- JSON I/O ----------------------------------------------------------------
-
-# the encoder json.dumps(d, sort_keys=True) builds on every call
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> str:
-    """write_lines with each of dicts as one line of sorted-key JSON."""
-    encode = _LINE_ENCODER.encode
-    return write_lines(path, (encode(d) + "\n" for d in dicts))
-
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> str:
     """Stream lines, each ending in a newline, to path, atomically (see

@@ -19,17 +19,15 @@ from .gateway import ModelOutput, PromptRef, TRANSPORT_OK, prompt_ref_encoder
 
 __all__ = [
     "REASON_NO_NUMERIC_MATCH", "REASON_OUT_OF_RANGE", "REASON_TRANSPORT_FAILED",
-    "REASON_AMBIGUOUS", "EXCLUSION_REASONS", "Outcome", "ExtractionResult",
-    "extraction_lines", "ExclusionLedger", "extract_score", "extract_batch",
-    "exclusion_reasons", "UNTRUSTWORTHY_EXCLUSION_SHARE", "untrustworthy",
+    "REASON_AMBIGUOUS", "Outcome", "ExtractionResult", "extraction_lines",
+    "ExclusionLedger", "extract_score", "extract_batch", "exclusion_reasons",
+    "UNTRUSTWORTHY_EXCLUSION_SHARE", "untrustworthy",
 ]
 
 REASON_NO_NUMERIC_MATCH = "NoNumericMatch"
 REASON_OUT_OF_RANGE = "OutOfRange"
 REASON_TRANSPORT_FAILED = "TransportFailed"
 REASON_AMBIGUOUS = "Ambiguous"
-EXCLUSION_REASONS = (REASON_NO_NUMERIC_MATCH, REASON_OUT_OF_RANGE,
-                     REASON_TRANSPORT_FAILED, REASON_AMBIGUOUS)
 
 # A numeral is 1-3 integer digits with an optional 1-2 digit fraction,
 # bounded by non-digit context. The extra lookarounds keep fragments of

@@ -564,7 +564,7 @@ def complete(config: InferenceConfig, prompt: RenderedPrompt,
 
 
 def complete_batch(config: InferenceConfig, prompts: list[RenderedPrompt],
-                   backend=None) -> list[ModelOutput]:
+                   backend) -> list[ModelOutput]:
     """Dispatch prompts with at most max_in_flight outstanding requests.
 
     Output order matches input order and every prompt yields exactly one
@@ -574,15 +574,9 @@ def complete_batch(config: InferenceConfig, prompts: list[RenderedPrompt],
     when the backend states that its calls never wait (`waits` is false, as
     for a MockBackend without latency): under the interpreter lock, threads
     cannot overlap work that never waits, so a pool would only add its own
-    overhead. A backend that waits, or does not say, gets a pool of
-    max_in_flight threads.
+    overhead. A backend that waits gets a pool of max_in_flight threads.
     """
-    if not prompts:
-        return []
-    if backend is None:
-        with closing(HttpBackend(config)) as backend:
-            return complete_batch(config, prompts, backend)
-    if not getattr(backend, "waits", True):
+    if not backend.waits:
         return [complete(config, p, backend) for p in prompts]
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
         return list(pool.map(lambda p: complete(config, p, backend), prompts))

@@ -163,8 +163,6 @@ def _tied_pair_count(sorted_values) -> int:
 
 def _count_inversions(seq: list) -> int:
     """Merge-sort inversion count; equal elements are not inversions."""
-    if len(seq) < 2:
-        return 0
     buf = list(seq)
     tmp = [None] * len(seq)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -33,6 +34,7 @@ from .prompts import (ICL_TEMPLATES, IclConfig, TemplateId, ZERO_SHOT_TEMPLATES,
                       render_zero_shot, select_icl_exemplars)
 
 log = logging.getLogger(__name__)
+_RUN_LOG_LOCK = threading.Lock()  # overlapping runs take turns on the logger
 
 __all__ = [
     "ERROR_TAXONOMY", "RunManifest", "RunResult", "run", "build_mock_policy",
@@ -276,21 +278,23 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
 def _run_log(path: Path):
     """While the block runs, append the qeharness logger's INFO and higher
     records to path, and print on stderr the warnings logging.lastResort
-    printed before; restore the logger's handlers and level after."""
+    printed before; then remove these handlers and restore the level."""
     logger = logging.getLogger("qeharness")
-    handlers, level = logger.handlers, logger.level
-    stderr = [] if logger.hasHandlers() else [logging.lastResort]
-    run_log = logging.FileHandler(path, encoding="utf-8")
-    run_log.setFormatter(logging.Formatter("%(asctime)s %(message)s",
-                                           "%Y-%m-%dT%H:%M:%S"))
-    logger.handlers = [*handlers, run_log, *filter(None, stderr)]
-    logger.setLevel(logging.INFO)
-    try:
-        yield
-    finally:
-        logger.handlers = handlers
-        logger.setLevel(level)
-        run_log.close()
+    with _RUN_LOG_LOCK:
+        level = logger.level
+        stderr = [] if logger.hasHandlers() else [logging.lastResort]
+        run_log = logging.FileHandler(path, encoding="utf-8")
+        run_log.setFormatter(logging.Formatter("%(asctime)s %(message)s",
+                                               "%Y-%m-%dT%H:%M:%S"))
+        added = [run_log, *filter(None, stderr)]
+        logger.handlers = [*logger.handlers, *added]
+        logger.setLevel(logging.INFO)
+        try:
+            yield
+        finally:
+            logger.handlers = [h for h in logger.handlers if h not in added]
+            logger.setLevel(level)
+            run_log.close()
 
 
 def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
@@ -609,6 +613,8 @@ def worst_deviations(corpus: Corpus, results: list[ExtractionResult],
                      k: int) -> list[dict]:
     """The k scored rows with the largest |prediction - gold|, for manual
     error labeling."""
+    if k < 1:
+        raise ValueError(f"k={k} is below 1")
     by_id = {seg.id: seg for seg in corpus.test}
     rows = []
     for res in results:

@@ -33,9 +33,3 @@ def seeded_order(items: Sequence[T], seed: int, *context: object,
     it is insensitive to the input ordering of `items`.
     """
     return sorted(items, key=lambda it: rank_key(seed, *context, key(it)))
-
-
-def seeded_sample(items: Sequence[T], k: int, seed: int, *context: object,
-                  key=lambda item: item) -> list[T]:
-    """Uniform sample of k items without replacement, deterministic in seed."""
-    return seeded_order(items, seed, *context, key=key)[:k]

@@ -103,6 +103,22 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fertility", "--tokenizers", "t.jsonl", "-k", "0"],
+    ["fertility", "--tokenizers", "t.jsonl", "--sample-size", "-3"],
+    ["score", "--extractions", "e.jsonl", "--pair", "en-gu", "--template",
+     "ag", "--dump-worst", "0"],
+    ["score", "--extractions", "e.jsonl", "--pair", "en-gu", "--template",
+     "ag", "--dump-worst", "-2"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}{argv[-1]}")
+def test_count_flag_below_one_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"invalid positive_int value: '{argv[-1]}'" in \
+        capsys.readouterr().err
+
+
 def test_score_template_must_be_a_template_id(capsys):
     with pytest.raises(SystemExit) as err:
         main(["score", "--manifest", "m.jsonl", "--extractions", "e.jsonl",
@@ -161,6 +177,24 @@ def test_run_with_mock_then_table(tmp_path, corpora_manifest, capsys):
     detailed = capsys.readouterr().out
     assert "mock-model:E" in detailed.splitlines()[0]
 
+    table_file = tmp_path / "table.txt"
+    assert main(["table", "--run-dir", str(tmp_path / "run"),
+                 "--metric", "rho", "--out", str(table_file)]) == 0
+    assert table_file.read_text(encoding="utf-8") == table
+
+
+def test_run_out_and_seed_flags_override_the_manifest(tmp_path,
+                                                      corpora_manifest,
+                                                      capsys):
+    manifest = _run_manifest_file(tmp_path, corpora_manifest)
+    out = tmp_path / "elsewhere"
+    assert main(["run", "--manifest", str(manifest), "--mock", "echo-score",
+                 "--out", str(out), "--seed", "11"]) == 0
+    assert f"run dir: {out}" in capsys.readouterr().out
+    recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (recorded["out_dir"], recorded["seed"]) == (str(out), 11)
+    assert not (tmp_path / "run").exists()
+
 
 @pytest.mark.parametrize("extra", [
     {"inference": {"temprature": 0.5}},
@@ -203,9 +237,10 @@ def test_run_torn_template_manifest_is_typed_error(tmp_path, corpora_manifest,
 
 @pytest.mark.parametrize("summary", [None, '{"reports": [{"pair": "en-gu", "te',
                                      '{"ledgers": []}', '[]',
-                                     '{"reports": [{"pair": "en-gu"}]}'],
+                                     '{"reports": [{"pair": "en-gu"}]}',
+                                     '{"reports": []}'],
                          ids=["missing", "torn", "no-reports", "list",
-                              "short-report"])
+                              "short-report", "empty-reports"])
 def test_table_over_bad_summary_is_typed_error(tmp_path, capsys, summary):
     if summary is not None:
         (tmp_path / "summary.json").write_text(summary, encoding="utf-8")

@@ -102,12 +102,13 @@ def test_mistyped_run_manifest_field_is_manifest_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("change", [
     {"pair": "english-gu"},
+    {"pair": "engu"},
     {"pair": 7},
     {"columns": ["x"]},
     {"columns": {"source": 1}},
     {"train": 1},
     {"test": None},
-], ids=["pair-code", "pair-int", "columns-list", "columns-value-int",
+], ids=["pair-code", "pair-no-dash", "pair-int", "columns-list", "columns-value-int",
         "train-int", "test-null"])
 def test_bad_corpus_manifest_record_is_manifest_error(tmp_path, capsys,
                                                       change):

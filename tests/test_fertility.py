@@ -106,6 +106,12 @@ def test_load_rejects_empty_bpe(tmp_path):
                                         {"kind": "bpe", "merges": []}))
 
 
+def test_load_rejects_empty_unigram(tmp_path):
+    with pytest.raises(TokenizerDefinitionError):
+        load_tokenizer("x", _definition(tmp_path, "bad3",
+                                        {"kind": "unigram", "pieces": []}))
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope", encoding="utf-8")
@@ -184,6 +190,13 @@ def test_sample_too_large():
     corpus = synthetic_corpus("en-ta", n_train=10, n_test=50)
     with pytest.raises(SampleTooLarge):
         sample_sentences(corpus, k=51, seed=0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_sample_size_below_one_is_refused(k):
+    corpus = synthetic_corpus("en-ta", n_train=10, n_test=50)
+    with pytest.raises(ValueError):
+        sample_sentences(corpus, k=k, seed=0)
 
 
 # -- measurement -------------------------------------------------------------------

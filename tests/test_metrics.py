@@ -211,6 +211,18 @@ def test_incomplete_beta_endpoints_and_symmetry():
             1.0 - regularized_incomplete_beta(1.0 - x, b, a), abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [-0.1, 1.5])
+def test_incomplete_beta_rejects_x_outside_the_unit_interval(x):
+    with pytest.raises(ValueError):
+        regularized_incomplete_beta(x, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("df", [0, -3])
+def test_t_p_value_rejects_degrees_of_freedom_below_one(df):
+    with pytest.raises(ValueError):
+        student_t_two_tailed_p(1.0, df)
+
+
 # -- properties ---------------------------------------------------------------------
 
 # grid-spaced values: wide range, frequent ties, and no chance of the

@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -344,6 +345,42 @@ def test_run_restores_the_package_logger(tmp_path, monkeypatch, raised,
     assert "run start" in (tmp_path / "run" / "log.txt").read_text()
 
 
+def test_overlapping_runs_take_turns_on_the_package_logger(tmp_path):
+    logger = logging.getLogger("qeharness")
+    before = (list(logger.handlers), logger.level)
+    sizes = {"en-gu": 300, "si-en": 200, "et-en": 100}  # more runs than cores
+    manifests = {pair: _run_manifest(tmp_path / pair, {pair: (40, n)},
+                                     templates=("ag", "te"))
+                 for pair, n in sizes.items()}
+    barrier = threading.Barrier(len(manifests))
+
+    def start(manifest):
+        barrier.wait()
+        run(manifest)
+
+    threads = [threading.Thread(target=start, args=(m,))
+               for m in manifests.values()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for pair, manifest in manifests.items():
+        text = (Path(manifest.out_dir) / "log.txt").read_text(encoding="utf-8")
+        messages = [line[20:] for line in text.splitlines()]
+        assert [m for m in messages if m.startswith("run start")] == \
+            ["run start: 1 pairs, 2 templates"]
+        assert f"{pair}/te: {sizes[pair]} dispatched, 0 resumed" in messages
+        assert messages[-1] == f"run end: {2 * sizes[pair]} prompts dispatched"
+        assert not any(other in text for other in sizes if other != pair)
+    assert (list(logger.handlers), logger.level) == before
+
+
 def test_run_warnings_reach_stderr_without_logging_configured(tmp_path):
     manifest = _sparse_manifest(tmp_path)
     manifest_path = tmp_path / "run.json"
@@ -459,6 +496,13 @@ def test_table_tsv_and_markdown_formats():
     assert "0.560†" in markdown
 
 
+def test_pairs_outside_the_studied_set_sort_after_it():
+    reports = [_report(pair, "ag", "alpha", 0.2, 0.01)
+               for pair in ("fr-de", "si-en", "aa-bb", "en-gu")]
+    table = build_result_table(reports, metric="rho")
+    assert table.pairs == ["en-gu", "si-en", "aa-bb", "fr-de"]
+
+
 def test_table_metric_selection():
     reports = [_report("en-gu", "ag", "alpha", rho=0.2, p=0.01, r=0.9,
                        tau=0.1)]
@@ -530,6 +574,24 @@ def test_worst_deviation_rows_sorted_and_schema(tmp_path):
     assert header.split("\t") == ["pair", "segment_id", "source",
                                   "translation", "gold", "pred", "abs_dev",
                                   "error_label"]
+
+
+def test_worst_deviations_skip_segments_the_corpus_lacks():
+    corpus = synthetic_corpus("en-ta", n_train=5, n_test=4)
+    results = [_extraction("en-ta", seg.id, 100.0 - seg.da_mean)
+               for seg in corpus.test]
+    results.append(_extraction("en-ta", 999, 0.0))  # not in the test split
+    rows = worst_deviations(corpus, results, k=10)
+    assert sorted(r["segment_id"] for r in rows) == \
+        sorted(seg.id for seg in corpus.test)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_worst_deviations_refuse_a_count_below_one(k):
+    corpus = synthetic_corpus("en-ta", n_train=5, n_test=4)
+    results = [_extraction("en-ta", seg.id, 50.0) for seg in corpus.test]
+    with pytest.raises(ValueError):
+        worst_deviations(corpus, results, k=k)
 
 
 def test_error_taxonomy_is_fixed():

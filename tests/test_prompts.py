@@ -129,6 +129,14 @@ def test_unresolved_placeholder_raises():
         render_zero_shot(broken, [_seg(5, 50.0, Split.TEST)])
 
 
+def test_load_templates_manifest_without_an_entry(tmp_path):
+    manifest = {t.value: {"file": "t.txt", "version": "1"}
+                for t in TemplateId if t is not TemplateId.GEMBA}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(TemplateMissing, match="no entry for gemba"):
+        load_templates(tmp_path)
+
+
 # -- exemplar selection ---------------------------------------------------------------
 
 def _toy_train():
@@ -187,6 +195,11 @@ def test_icl5_empty_bin_without_fallback():
     with pytest.raises(EmptyBin) as err:
         select_icl_exemplars(train, IclConfig.ICL5, seed=1, fallback=False)
     assert err.value.bin_label == "51-70"
+
+
+def test_selection_from_an_empty_train_split():
+    with pytest.raises(EmptyBin):
+        select_icl_exemplars([], IclConfig.ICL5, seed=1)
 
 
 def test_selection_rejects_test_split():

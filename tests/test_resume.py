@@ -149,6 +149,22 @@ def test_changed_artifact_takes_the_full_path(tmp_path, counted, kind):
     assert counted == {"render": 0, "write_jsonl": 0}
 
 
+@pytest.mark.parametrize("kind", ARTIFACT_DIRS)
+def test_deleted_artifact_takes_the_full_path(tmp_path, counted, kind):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    path = next((Path(manifest.out_dir) / kind).iterdir())
+    original = path.read_bytes()
+    path.unlink()
+    counted.update(render=0, write_jsonl=0)
+
+    result = run(manifest)
+    # deleted outputs are dispatched again; any other file is rebuilt
+    assert result.inference_calls == (N_TEST if kind == "outputs" else 0)
+    assert counted == {"render": 1, "write_jsonl": 3}
+    assert path.read_bytes() == original
+
+
 def test_deleted_marker_takes_the_full_path(tmp_path, counted):
     manifest = _manifest(tmp_path, templates=["ag"])
     run(manifest)

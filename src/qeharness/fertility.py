@@ -64,7 +64,7 @@ class _Bpe(_PerWord):
 
     def __init__(self, merges: list[tuple[str, str]]):
         if not merges:
-            raise TokenizerDefinitionError("bpe definition has no merges")
+            raise ValueError("bpe definition has no merges")
         self._rank = {tuple(m): i for i, m in enumerate(merges)}
 
     def _word(self, word: str) -> list[str]:
@@ -92,7 +92,7 @@ class _Unigram(_PerWord):
 
     def __init__(self, pieces: dict[str, float]):
         if not pieces:
-            raise TokenizerDefinitionError("unigram definition has no pieces")
+            raise ValueError("unigram definition has no pieces")
         self._pieces = pieces
         self._max_len = max(len(p) for p in pieces)
         self._unk_logprob = min(pieces.values()) - 10.0
@@ -159,33 +159,34 @@ def load_tokenizer(name: str, definition_path: str | Path) -> TokenizerHandle:
     Definition files are JSON with a "kind" field and, depending on kind,
     "merges" (pairs, rank order) or "pieces" ([piece, logprob] entries).
     A "special_tokens" list, if present, is ignored: specials never count.
-    An unreadable file raises FileUnreadable; one that is not JSON, or
-    whose fields are missing or mistyped, TokenizerDefinitionError.
+    An unreadable file raises FileUnreadable; one that is not JSON, whose
+    fields are missing or mistyped, whose kind is unknown or whose merges
+    or pieces are empty, TokenizerDefinitionError naming the file.
     """
     definition_path = Path(definition_path)
     try:
         data = definition_path.read_bytes()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {definition_path}: {exc}") from exc
-    try:  # bad UTF-8, JSON or field, or a logprob beyond a float's range
+    # bad UTF-8, JSON or field, a logprob beyond a float's range, an
+    # unknown kind, or a bpe or unigram engine with no merges or pieces
+    try:
         spec = json_fields(json.loads(data.decode("utf-8")),
                            _DEFINITION_FIELDS)
         merges = [_parts(m, _MERGE) for m in spec.get("merges", [])]
         pieces = {p: float(lp) for p, lp in
                   (_parts(e, _PIECE) for e in spec.get("pieces", []))}
+        kind = spec["kind"]
+        if kind == KIND_WORD_LEVEL:
+            engine = _WordLevel()
+        elif kind == KIND_BPE:
+            engine = _Bpe(merges)
+        elif kind == KIND_UNIGRAM:
+            engine = _Unigram(pieces)
+        else:
+            raise ValueError(f"unknown tokenizer kind {kind!r}")
     except (ValueError, OverflowError) as exc:
         raise TokenizerDefinitionError(f"{definition_path}: {exc}") from exc
-
-    kind = spec["kind"]
-    if kind == KIND_WORD_LEVEL:
-        engine = _WordLevel()
-    elif kind == KIND_BPE:
-        engine = _Bpe(merges)
-    elif kind == KIND_UNIGRAM:
-        engine = _Unigram(pieces)
-    else:
-        raise TokenizerDefinitionError(
-            f"{definition_path}: unknown tokenizer kind {kind!r}")
     return TokenizerHandle(name=name, definition_path=definition_path,
                            kind=kind, engine=engine)
 

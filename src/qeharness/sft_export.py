@@ -10,12 +10,13 @@ hyperparameters ride along as a provenance memo and are never executed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus, write_json, write_lines
+from .corpus import Corpus, Segment, write_json, write_lines
 from .errors import EmptyTrainSplit
 from .prompts import PromptTemplate, TemplateId, render_zero_shot
 from .seeding import seeded_order
@@ -31,6 +32,10 @@ HYPERPARAMETER_MEMO = {
     "quantization": "4-bit",
     "precision": "fp16",
 }
+
+# records rendered and written at a time: the 75,000 instructions of
+# perfbench's pooled export take 168 MB, a chunk of them about 9 MB
+_CHUNK = 4096
 
 
 class SftMode(Enum):
@@ -80,22 +85,37 @@ def sft_lines(records: Iterable[SftRecord]) -> Iterator[str]:
 
 def build_records(corpus: Corpus, template: PromptTemplate) -> list[SftRecord]:
     """Render every train segment into an instruction/answer record."""
+    return list(_records(template, _train(corpus, template)))
+
+
+def _train(corpus: Corpus, template: PromptTemplate) -> tuple[Segment, ...]:
+    """corpus's train segments, refused unless records can be built."""
     if template.id is not TemplateId.AG:
         raise ValueError("instruction records use the range-guideline template")
     if not corpus.train:
         raise EmptyTrainSplit(str(corpus.pair))
-    prompts = render_zero_shot(template, corpus.train)
-    return [SftRecord(instruction=prompt.text,
-                      output=f"Score: {seg.da_mean:.1f}",
-                      meta={"pair": str(corpus.pair), "segment_id": seg.id,
-                            "template_version": template.version},
-                      head=prompt.head)
-            for seg, prompt in zip(corpus.train, prompts)]
+    return corpus.train
 
 
-def _shuffled(records: list[SftRecord], seed: int) -> list[SftRecord]:
-    return seeded_order(records, seed, "sft-shuffle",
-                        key=lambda r: (r.meta["pair"], r.meta["segment_id"]))
+def _records(template: PromptTemplate,
+             segments: Sequence[Segment]) -> Iterator[SftRecord]:
+    """The record of each segment, in order, from one render call."""
+    for seg, prompt in zip(segments, render_zero_shot(template, segments)):
+        yield SftRecord(instruction=prompt.text,
+                        output=f"Score: {seg.da_mean:.1f}",
+                        meta={"pair": prompt.pair, "segment_id": seg.id,
+                              "template_version": template.version},
+                        head=prompt.head)
+
+
+def _shuffled_lines(segments: Sequence[Segment], template: PromptTemplate,
+                    seed: int) -> Iterator[str]:
+    """sft_lines of the segments' records in the seeded shuffle, rendered
+    _CHUNK at a time, so at most one chunk of instructions is alive."""
+    order = seeded_order(segments, seed, "sft-shuffle",
+                         key=lambda seg: (str(seg.pair), seg.id))
+    return sft_lines(rec for start in range(0, len(order), _CHUNK)
+                     for rec in _records(template, order[start:start + _CHUNK]))
 
 
 def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
@@ -103,8 +123,10 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     """Write the dataset files and return the export manifest.
 
     Pooled mode writes sft_umt.jsonl; per-pair mode writes one
-    sft_ilt_{pair}.jsonl per corpus. Files land atomically (temp + rename)
-    and are byte-identical for a fixed shuffle seed. The manifest records
+    sft_ilt_{pair}.jsonl per corpus. Records are rendered and written a
+    chunk at a time. Every file is finished under a temp name before any
+    is moved into place, so an export that raises replaces no file; files
+    are byte-identical for a fixed shuffle seed. The manifest records
     per-pair counts and the hyperparameter memo, and is written alongside.
     Each line is sft_lines' formatting of a record.
     """
@@ -114,22 +136,28 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     if not corpora:
         raise EmptyTrainSplit("*")
 
-    per_pair = {str(c.pair): build_records(c, template) for c in corpora}
-    counts = {pair: len(records) for pair, records in per_pair.items()}
-    files: dict[str, str] = {}
-
-    def write(name: str, records: list[SftRecord]) -> None:
-        write_lines(out_dir / name,
-                    sft_lines(_shuffled(records, config.shuffle_seed)))
-
+    trains = {str(c.pair): _train(c, template) for c in corpora}
+    counts = {pair: len(train) for pair, train in trains.items()}
     if config.mode is SftMode.UMT:
-        pooled = [rec for records in per_pair.values() for rec in records]
-        files["umt"] = "sft_umt.jsonl"
-        write(files["umt"], pooled)
+        files = {"umt": "sft_umt.jsonl"}
+        parts = {"umt": [seg for train in trains.values() for seg in train]}
     else:
-        for pair, records in sorted(per_pair.items()):
-            files[pair] = f"sft_ilt_{pair}.jsonl"
-            write(files[pair], records)
+        files = {pair: f"sft_ilt_{pair}.jsonl" for pair in sorted(trains)}
+        parts = trains
+
+    staged: list[Path] = []  # finished files under their temp names
+    try:
+        for key, name in files.items():
+            write_lines(out_dir / f"{name}.tmp",
+                        _shuffled_lines(parts[key], template,
+                                        config.shuffle_seed))
+            staged.append(out_dir / f"{name}.tmp")
+    except BaseException:  # an interrupt too: leave no temp file behind
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp in staged:
+        os.replace(tmp, tmp.with_suffix(""))
 
     manifest = {
         "mode": config.mode.value,

@@ -440,17 +440,34 @@ def test_score_over_another_splits_rows_is_manifest_error(tmp_path, capsys,
     assert not (tmp_path / "score").exists()
 
 
-def test_malformed_tokenizer_definition_is_typed_error(tmp_path, capsys):
+def _fertility_error(tmp_path, capsys, spec: dict) -> tuple[Path, str]:
+    """The definition's path and the stderr of a fertility command whose
+    one tokenizer is defined by spec, which must fail."""
     corpora = write_corpus_manifest(
         tmp_path / "data", [synthetic_corpus("en-gu", n_train=20, n_test=10)])
-    definition = tmp_path / "bpe.json"
-    definition.write_text(json.dumps({"kind": "bpe", "merges": 5}),
-                          encoding="utf-8")
+    definition = tmp_path / "tok.json"
+    definition.write_text(json.dumps(spec), encoding="utf-8")
     tokenizers = tmp_path / "tokenizers.jsonl"
-    tokenizers.write_text(json.dumps({"name": "bpe", "definition": "bpe.json"})
+    tokenizers.write_text(json.dumps({"name": "tok", "definition": "tok.json"})
                           + "\n", encoding="utf-8")
     assert main(["fertility", "--manifest", str(corpora), "--tokenizers",
                  str(tokenizers), "-k", "5"]) == 1
-    err = capsys.readouterr().err
+    return definition, capsys.readouterr().err
+
+
+def test_malformed_tokenizer_definition_is_typed_error(tmp_path, capsys):
+    definition, err = _fertility_error(tmp_path, capsys,
+                                       {"kind": "bpe", "merges": 5})
     assert "error[TokenizerDefinitionError]" in err
     assert str(definition) in err and "merges" in err
+
+
+@pytest.mark.parametrize("spec,named", [
+    ({"kind": "bpe", "merges": []}, "no merges"),
+    ({"kind": "unigram", "pieces": []}, "no pieces"),
+])
+def test_empty_tokenizer_definition_names_its_file(tmp_path, capsys, spec,
+                                                   named):
+    definition, err = _fertility_error(tmp_path, capsys, spec)
+    assert f"error[TokenizerDefinitionError]: {definition}: " in err
+    assert named in err

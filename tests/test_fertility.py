@@ -135,6 +135,8 @@ def test_load_rejects_bad_json(tmp_path):
     {"kind": "unigram", "pieces": [["a", True]]},
     {"kind": "unigram", "pieces": [["a", -1.0, 0]]},
     {"kind": "unigram", "pieces": [["a", -10 ** 400]]},
+    {"kind": "bpe", "merges": []},
+    {"kind": "unigram", "pieces": []},
 ])
 def test_load_rejects_mistyped_definition(tmp_path, spec):
     path = _definition(tmp_path, "bad", spec)

@@ -43,6 +43,11 @@ RENDER_DIGEST = (
     "37988a091364f0ee99e57e8da0299baea27c62df0fe33962cfcd71721cedab02")
 EXPORT_SFT_DIGEST = (
     "235323dee0603d8f9e8bd3578e8a71fe992031c54da2c44c750627d68e281471")
+# a pooled export of more records than one chunk of sft_export's streaming
+# writer (4,096), with one pair on each side of a chunk's size
+POOLED_SFT_TRAIN = {"en-gu": 4095, "en-hi": 4097, "si-en": 1200}
+EXPORT_SFT_POOLED_DIGEST = (
+    "41fef527f2c2effa45de0546a99214f7b5e0d5b8c60f6928d72434ea9dba867d")
 
 TABLE_DIGESTS = {
     ("table", "plain"):
@@ -118,6 +123,15 @@ def test_cli_export_sft_is_golden(corpora_manifest, tmp_path):
     assert main(["export-sft", "--manifest", str(corpora_manifest),
                  "--mode", "ilt", "--seed", "2", "--out", str(out_dir)]) == 0
     assert _tree_digest(tmp_path, ["sft"]) == EXPORT_SFT_DIGEST
+
+
+def test_cli_export_sft_pooled_over_several_chunks_is_golden(tmp_path):
+    corpora = [synthetic_corpus(pair, n_train=n, n_test=5, seed=7 + i)
+               for i, (pair, n) in enumerate(POOLED_SFT_TRAIN.items())]
+    manifest = write_corpus_manifest(tmp_path / "data", corpora)
+    assert main(["export-sft", "--manifest", str(manifest), "--mode", "umt",
+                 "--seed", "3", "--out", str(tmp_path / "sft")]) == 0
+    assert _tree_digest(tmp_path, ["sft"]) == EXPORT_SFT_POOLED_DIGEST
 
 
 @pytest.mark.parametrize("kind,fmt", sorted(TABLE_DIGESTS))

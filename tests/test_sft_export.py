@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from qeharness import sft_export
 from qeharness.corpus import Corpus, LangPair, load_corpora
-from qeharness.errors import EmptyTrainSplit
+from qeharness.errors import EmptyTrainSplit, PlaceholderUnresolved
 from qeharness.extraction import extract_score
 from qeharness.prompts import TemplateId
 from qeharness.sft_export import (HYPERPARAMETER_MEMO, SftConfig, SftMode,
                                   build_records, export)
+from qeharness.seeding import seeded_order
 
 from conftest import synthetic_corpus, synthetic_segments, write_corpus_manifest
 from qeharness.corpus import Split
@@ -163,3 +167,70 @@ def test_no_temp_files_left_behind(tmp_path, ag_template):
     export(_corpora({"en-gu": 5}), SftConfig(SftMode.UMT), tmp_path,
            ag_template)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# -- streamed export ----------------------------------------------------------------
+
+def _oracle_lines(corpora, template, seed) -> str:
+    """The export's bytes as the in-memory export made them: every record
+    built, the pool put in seeded order, each dumped with sorted keys."""
+    records = [r for c in corpora for r in build_records(c, template)]
+    return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n"
+                   for r in seeded_order(records, seed, "sft-shuffle",
+                                         key=lambda r: (r.meta["pair"],
+                                                        r.meta["segment_id"])))
+
+
+@pytest.mark.parametrize("mode", list(SftMode))
+def test_streamed_export_matches_in_memory_oracle(tmp_path, ag_template,
+                                                  monkeypatch, mode):
+    # pairs of chunk-1, chunk, chunk+1 and several chunks of records
+    monkeypatch.setattr(sft_export, "_CHUNK", 8)
+    corpora = _corpora({"en-gu": 7, "en-hi": 8, "ne-en": 9, "si-en": 29})
+    export(corpora, SftConfig(mode, shuffle_seed=4), tmp_path, ag_template)
+    if mode is SftMode.UMT:
+        expected = {"sft_umt.jsonl": _oracle_lines(corpora, ag_template, 4)}
+    else:
+        expected = {f"sft_ilt_{c.pair}.jsonl": _oracle_lines([c], ag_template, 4)
+                    for c in corpora}
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("mode", list(SftMode))
+def test_raising_export_replaces_no_file(tmp_path, ag_template, monkeypatch,
+                                         mode):
+    # an older export of both pairs, then one whose last si-en source holds
+    # a placeholder name: render raises once en-gu's records are written
+    monkeypatch.setattr(sft_export, "_CHUNK", 4)
+    corpora = _corpora({"en-gu": 10, "si-en": 10})
+    for m in SftMode:
+        export(corpora, SftConfig(m, shuffle_seed=1), tmp_path, ag_template)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    si_en = corpora[1]
+    bad = replace(si_en.train[-1],
+                  source=si_en.train[-1].source + " {translation_text}")
+    corpora[1] = replace(si_en, train=si_en.train[:-1] + (bad,))
+    with pytest.raises(PlaceholderUnresolved):
+        export(corpora, SftConfig(mode, shuffle_seed=2), tmp_path, ag_template)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_export_memory_is_bounded_by_its_chunk(tmp_path, ag_template,
+                                               monkeypatch):
+    # an export that holds every record before writing peaks about 5 times
+    # higher over 8 times the records; a streamed one about 1.1 times
+    monkeypatch.setattr(sft_export, "_CHUNK", 32)
+
+    def peak(n: int) -> int:
+        corpora = _corpora({"en-gu": n, "si-en": n})
+        tracemalloc.start()
+        try:
+            export(corpora, SftConfig(SftMode.UMT), tmp_path / str(n),
+                   ag_template)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * 128) < 2 * peak(128)

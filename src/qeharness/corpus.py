@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import islice
@@ -26,7 +27,7 @@ from .errors import (FileUnreadable, ManifestError, MissingColumn,
 __all__ = [
     "LangPair", "Split", "Segment", "Corpus", "ScoreBin", "SCORE_BINS",
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
-    "CorpusEntry", "load_corpus_manifest", "load_corpora",
+    "CorpusEntry", "load_corpus_manifest", "load_corpora", "corpus_digest",
     "EXPECTED_SPLIT_SIZES", "split_size_warnings",
     "write_lines", "write_json", "read_jsonl", "read_records", "read_json",
     "Field", "json_fields",
@@ -175,36 +176,53 @@ def load_corpus(path: str | Path, pair: LangPair, split: Split,
     data-row indices, so they stay stable when other rows fail to parse.
     Blank lines are not data rows; a short row reads its missing fields as
     empty, and fields past the header are ignored. With `hasher` given (a
-    hashlib object), the file's bytes are fed to it as they are read.
+    hashlib object), the file's bytes are fed to it as they are read. A
+    file that cannot be read, is not UTF-8 or holds a field longer than
+    csv.field_size_limit() raises FileUnreadable naming it.
     """
     column_map = column_map or ColumnMap()
-    path = Path(path)
+    with _reading(path):
+        data = Path(path).read_bytes()
+        if hasher is not None:
+            hasher.update(data)
+        return _segments(_tsv_rows(data), pair, split, column_map, strict,
+                         diagnostics)
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """Turn a failure to read, decode or split the file at path into
+    FileUnreadable naming it."""
     try:
-        data = path.read_bytes()
-    except OSError as exc:
+        yield
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    if hasher is not None:
-        hasher.update(data)
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+
+
+def _tsv_rows(data: bytes) -> Iterator[list[str]]:
+    """The csv rows of TSV bytes, decoded as UTF-8 as they are read."""
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                                        newline=""), dialect="excel-tab")
-    try:
-        return _segments(rows, pair, split, column_map, strict, diagnostics)
-    except UnicodeDecodeError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+
+
+def _column_indices(header: list[str], column_map: ColumnMap
+                    ) -> tuple[int, int, int]:
+    """Where the header puts the source, translation and score columns; a
+    column it lacks raises MissingColumn. Of two columns with one name, the
+    later one is read."""
+    index = {name: i for i, name in enumerate(header)}
+    for col in (column_map.source, column_map.translation, column_map.score):
+        if col not in index:
+            raise MissingColumn(col)
+    return (index[column_map.source], index[column_map.translation],
+            index[column_map.score])
 
 
 def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
               column_map: ColumnMap, strict: bool,
               diagnostics: list[LoadDiagnostic] | None) -> list[Segment]:
     """load_corpus's reading of csv rows, the first of them the header."""
-    # of two columns with one name, the later one is read
-    index = {name: i for i, name in enumerate(next(rows, []))}
-    for col in (column_map.source, column_map.translation, column_map.score):
-        if col not in index:
-            raise MissingColumn(col)
-    src_at, mt_at, score_at = (index[column_map.source],
-                               index[column_map.translation],
-                               index[column_map.score])
+    src_at, mt_at, score_at = _column_indices(next(rows, []), column_map)
     width = max(src_at, mt_at, score_at) + 1
 
     segments: list[Segment] = []
@@ -454,12 +472,34 @@ def load_corpora(manifest_path: str | Path, *, strict: bool = False,
         test = load_corpus(entry.test_path, entry.pair, Split.TEST,
                            entry.column_map, strict=strict,
                            diagnostics=test_skipped, hasher=test_hash)
-        digest = hashlib.sha256(json.dumps(
-            [asdict(entry.column_map), train_hash.hexdigest(),
-             test_hash.hexdigest()]).encode()).hexdigest()
-        corpora.append(Corpus(entry.pair, tuple(train), tuple(test), digest,
+        corpora.append(Corpus(entry.pair, tuple(train), tuple(test),
+                              _digest(entry.column_map, train_hash, test_hash),
                               tuple(train_skipped), tuple(test_skipped)))
     return corpora
+
+
+def corpus_digest(entry: CorpusEntry) -> str:
+    """The Corpus.digest load_corpora gives entry's corpus, taken from the
+    bytes of its two TSVs without parsing a row. Each file fails as loading
+    it would when it cannot be read or is not UTF-8 (FileUnreadable) or
+    when its header lacks a mapped column (MissingColumn)."""
+    hashes = []
+    for path in (entry.train_path, entry.test_path):
+        with _reading(path):
+            data = Path(path).read_bytes()
+            data.decode("utf-8")  # the check alone; the text is not kept
+            header = next(_tsv_rows(data), [])
+        _column_indices(header, entry.column_map)
+        hashes.append(hashlib.sha256(data))
+    return _digest(entry.column_map, *hashes)
+
+
+def _digest(column_map: ColumnMap, train_hash, test_hash) -> str:
+    """Corpus.digest: the SHA-256 of the column map and of the hashlib
+    objects fed the train and test TSV bytes."""
+    return hashlib.sha256(json.dumps(
+        [asdict(column_map), train_hash.hexdigest(),
+         test_hash.hexdigest()]).encode()).hexdigest()
 
 
 # Published split sizes for the eight pairs; mismatches are advisory only,

@@ -17,12 +17,15 @@ import logging
 import threading
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache, partial
 from pathlib import Path
 
-from .corpus import (Corpus, Field, json_fields, load_corpora, read_json,
+from .corpus import (Corpus, CorpusEntry, Field, corpus_digest, json_fields,
+                     load_corpora, load_corpus_manifest, read_json,
                      read_records, split_size_warnings, write_json,
                      write_lines)
-from .errors import EndpointMissing, ManifestError, HarnessError
+from .errors import (EndpointMissing, FileUnreadable, ManifestError,
+                     HarnessError)
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
                          extraction_lines, untrustworthy)
 from .gateway import (EchoScore, Fail, Fixed, Garbage, HttpBackend,
@@ -160,12 +163,22 @@ def parse_mock_arg(text: str) -> dict:
 def load_listed_corpora(corpora_manifest: str | Path,
                         pairs: list[str] | None) -> list[Corpus]:
     """The corpora of the listed pairs, or of all pairs without a list; a
-    listed pair the corpus manifest lacks is a ManifestError."""
-    corpora = load_corpora(corpora_manifest, pairs=pairs)
-    unknown = set(pairs or ()) - {str(c.pair) for c in corpora}
+    listed pair the corpus manifest lacks is a ManifestError, raised before
+    any TSV is read."""
+    _listed_entries(corpora_manifest, pairs)
+    return load_corpora(corpora_manifest, pairs=pairs)
+
+
+def _listed_entries(corpora_manifest: str | Path,
+                    pairs: list[str] | None) -> list[CorpusEntry]:
+    """The corpus-manifest entries of the listed pairs, in manifest order,
+    or every entry without a list; a listed pair the manifest lacks is a
+    ManifestError."""
+    entries = load_corpus_manifest(corpora_manifest)
+    unknown = set(pairs or ()) - {str(e.pair) for e in entries}
     if unknown:
         raise ManifestError(f"no corpus-manifest entry for {sorted(unknown)}")
-    return corpora
+    return [e for e in entries if not pairs or str(e.pair) in pairs]
 
 
 def render_prompts(corpus: Corpus, template, seed: int,
@@ -197,8 +210,17 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     """Execute the manifest: render, infer, extract, evaluate, persist.
 
     Manifest and corpus problems fail fast, before the run directory is
-    written: no templates, an unknown pair, or unusable inference settings
-    or endpoint URL raise ManifestError. Per-item inference failures are
+    written: no templates, an unknown pair, a bad corpus-manifest record,
+    or unusable inference settings, mock spec or endpoint URL raise
+    ManifestError; a corpus manifest or listed TSV that cannot be read, or
+    a TSV that is not UTF-8, raises FileUnreadable; a TSV header that
+    lacks a mapped column raises MissingColumn. These checks read each
+    TSV's bytes and header only. A pair's rows are parsed just before its
+    first combo that is not skipped, so a problem only parsing finds (a
+    field longer than csv.field_size_limit(), or a TSV whose bytes changed
+    since the run started) raises FileUnreadable there; the combos that
+    finished before it keep their markers and stay resumable. Malformed
+    rows are skipped and named in log.txt. Per-item inference failures are
     recorded in the outputs and ledger without aborting.
 
     Each finished combo leaves a marker, fingerprints/<stem>.json, holding
@@ -225,14 +247,15 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         owned = closing(backend)
 
     templates = load_templates(manifest.template_dir)
-    corpora = load_listed_corpora(manifest.corpora_manifest, manifest.pairs)
+    # the fingerprints need each pair's digest, not its rows
+    listed = [(entry, corpus_digest(entry)) for entry in _listed_entries(
+        manifest.corpora_manifest, manifest.pairs)]
+    policy = None
     if backend is None:
         if manifest.mock is None:
             raise EndpointMissing(
                 "manifest has neither an endpoint_url nor a mock policy")
-        gold = gold_map(seg for corpus in corpora for seg in corpus.test)
-        backend = MockBackend(build_mock_policy(manifest.mock), gold=gold,
-                              seed=manifest.seed)
+        policy = build_mock_policy(manifest.mock)
 
     out = Path(manifest.out_dir)
     for sub in ("prompts", "outputs", "extractions", "reports", "fingerprints"):
@@ -245,21 +268,22 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     dispatched_total = 0
 
     with owned, _run_log(out / "log.txt"):
-        log.info("run start: %d pairs, %d templates", len(corpora),
+        log.info("run start: %d pairs, %d templates", len(listed),
                  len(manifest.templates))
-        for corpus in corpora:
-            for warning in split_size_warnings(corpus):
-                log.info("%s", warning)
+        for entry, digest in listed:
+            load = cache(partial(_load_pair, manifest, entry, digest, backend,
+                                 policy))
             for tid in manifest.templates:
                 dispatched, report, ledger, error = _run_combo(
-                    manifest, corpus, tid, templates[tid], base_cfg, backend,
-                    out)
+                    manifest, str(entry.pair), digest, load, tid,
+                    templates[tid], base_cfg, out)
                 dispatched_total += dispatched
                 ledgers.append(ledger)
                 if report is not None:
                     reports.append(report)
                 if error is not None:
-                    errors[(str(corpus.pair), tid.value)] = error
+                    errors[(str(entry.pair), tid.value)] = error
+            del load  # the pair's corpus goes with its last combo
         log.info("run end: %d prompts dispatched", dispatched_total)
 
     summary = {
@@ -272,6 +296,27 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     write_json(out / "summary.json", summary)
     return RunResult(run_dir=out, reports=reports, ledgers=ledgers,
                      inference_calls=dispatched_total, errors=errors)
+
+
+def _load_pair(manifest: RunManifest, entry: CorpusEntry, digest: str,
+               backend, policy) -> tuple[Corpus, object]:
+    """entry's corpus, parsed, and the backend its combos dispatch to: the
+    run's own, or a mock over this pair's gold scores. Logs the corpus's
+    split-size and skipped-row notes. A corpus whose digest is no longer
+    the one the run fingerprinted, or that the corpus manifest no longer
+    lists, raises FileUnreadable."""
+    corpora = load_corpora(manifest.corpora_manifest,
+                           pairs=[str(entry.pair)])
+    if [c.digest for c in corpora] != [digest]:
+        raise FileUnreadable(f"the {entry.pair} corpus changed since the run "
+                             f"started ({entry.train_path}, {entry.test_path})")
+    corpus = corpora[0]
+    for warning in split_size_warnings(corpus):
+        log.info("%s", warning)
+    if backend is None:
+        backend = MockBackend(policy, gold=gold_map(corpus.test),
+                              seed=manifest.seed)
+    return corpus, backend
 
 
 @contextmanager
@@ -297,9 +342,11 @@ def _run_log(path: Path):
             run_log.close()
 
 
-def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
-               template, base_cfg: InferenceConfig, backend, out: Path):
-    pair = str(corpus.pair)
+def _run_combo(manifest: RunManifest, pair: str, digest: str, load,
+               tid: TemplateId, template, base_cfg: InferenceConfig,
+               out: Path):
+    """Skip or run one combo; load() gives the pair's (corpus, backend),
+    which a skipped combo never asks for."""
     seed = manifest.seed
     cfg = base_cfg
     if "max_context_tokens" not in manifest.inference:
@@ -313,7 +360,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
         "report": out / "reports" / f"{stem}.json",
     }
     marker_path = out / "fingerprints" / f"{stem}.json"
-    fingerprint = _combo_fingerprint(manifest, corpus, template, cfg)
+    fingerprint = _combo_fingerprint(manifest, digest, template, cfg)
     marker = _read_marker(marker_path) if manifest.resume else {}
     matches = marker.get("fingerprint") == fingerprint
     if matches and _artifacts_unchanged(artifacts, marker.get("artifacts")):
@@ -323,6 +370,7 @@ def _run_combo(manifest: RunManifest, corpus: Corpus, tid: TemplateId,
                  tid.value)
         return 0, report, ledger, error
 
+    corpus, backend = load()
     # Only outputs the marker vouches for are kept, to be reused segment by
     # segment. Claiming the combo before anything is rewritten keeps a run
     # killed in the middle from leaving outputs under another's marker.
@@ -384,12 +432,12 @@ def _report_file(doc) -> tuple:
     return report, ExclusionLedger.from_dict(f["ledger"]), f.get("error")
 
 
-def _combo_fingerprint(manifest: RunManifest, corpus: Corpus, template,
+def _combo_fingerprint(manifest: RunManifest, digest: str, template,
                       cfg: InferenceConfig) -> str:
     """SHA-256 over every input a (pair, template) combo's artifacts depend
     on: the template's id, version and body; the pair's TSV bytes and
-    column map (Corpus.digest); seed, and for ICL the effective icl_seed;
-    the reply-shaping inference settings; and the mock spec.
+    column map (digest, its Corpus.digest); seed, and for ICL the effective
+    icl_seed; the reply-shaping inference settings; and the mock spec.
 
     Left out on purpose: out_dir, resume, paths and the transport knobs
     (timeouts, retries, max_in_flight), which change how replies arrive but
@@ -398,7 +446,7 @@ def _combo_fingerprint(manifest: RunManifest, corpus: Corpus, template,
     """
     doc = {
         "template": [template.id.value, template.version, template.body],
-        "corpus": corpus.digest,
+        "corpus": digest,
         "seed": manifest.seed,
         "inference": [cfg.model_name, float(cfg.temperature),
                       cfg.max_new_tokens, cfg.max_context_tokens],

@@ -11,7 +11,7 @@ from . import __version__
 from .corpus import (SCORE_BINS, Field, histogram, json_fields, load_corpora,
                      read_json, read_records, split_size_warnings, write_json,
                      write_lines)
-from .errors import EmptyTrainSplit, HarnessError, ManifestError
+from .errors import HarnessError, ManifestError
 from .extraction import (ExtractionResult, extract_batch, extraction_lines,
                          untrustworthy)
 from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
@@ -19,9 +19,9 @@ from .fertility import (load_tokenizer, measure, sample_sentences, summarize,
                         write_summary_tsv)
 from .gateway import ModelOutput
 from .metrics import CorrelationReport, evaluate
-from .pipeline import (RunManifest, load_listed_corpora, parse_mock_arg,
-                       render_detailed_table, render_prompts, render_table,
-                       run, worst_deviations, write_worst_tsv)
+from .pipeline import (RunManifest, parse_mock_arg, render_detailed_table,
+                       render_prompts, render_table, run, worst_deviations,
+                       write_worst_tsv)
 from .prompts import TemplateId, load_templates, prompt_lines
 from .sft_export import SftConfig, SftMode, export
 
@@ -138,7 +138,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_render(args) -> int:
-    corpora = load_listed_corpora(_require_manifest(args), args.pairs)
+    corpora = load_corpora(_require_manifest(args), pairs=args.pairs)
     template = load_templates(args.template_dir)[TemplateId(args.template)]
     prompts = [p for corpus in corpora
                for p in render_prompts(corpus, template, args.seed or 0)]
@@ -192,7 +192,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_score(args) -> int:
-    corpus = load_listed_corpora(_require_manifest(args), [args.pair])[0]
+    (corpus,) = load_corpora(_require_manifest(args), pairs=[args.pair])
     results = list(read_records(args.extractions, ExtractionResult.from_dict))
 
     gold_by_id = {seg.id: seg.da_mean for seg in corpus.test}
@@ -275,8 +275,6 @@ def cmd_export_sft(args) -> int:
     # an export of one pair reads only that pair's TSVs
     corpora = load_corpora(_require_manifest(args),
                            pairs=[args.pair] if args.pair else None)
-    if args.pair and not corpora:
-        raise EmptyTrainSplit(args.pair)
     templates = load_templates(args.template_dir)
     config = SftConfig(mode=SftMode(args.mode), shuffle_seed=args.seed or 0)
     out_dir = args.out or Path("sft_export")

@@ -425,11 +425,16 @@ class CorpusEntry:
                    "columns": Field((dict,), items=str, optional=True)}
 
 
-def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
+def load_corpus_manifest(path: str | Path,
+                         pairs: Iterable[str] | None = None
+                         ) -> list[CorpusEntry]:
     """Parse a line-oriented manifest: one JSON record per line with fields
     pair / train / test and an optional columns map. Relative paths resolve
     against the manifest's directory. A record whose fields do not parse,
-    or that lists a pair again, raises ManifestError naming its line."""
+    or that lists a pair again, raises ManifestError naming its line.
+    With pairs given (not empty), only their entries are returned, in
+    manifest order, and a listed pair the manifest lacks raises
+    ManifestError naming it. No TSV is opened here."""
     path = Path(path)
     entries = []
     seen: dict[LangPair, int] = {}  # pair -> the line that listed it
@@ -451,19 +456,22 @@ def load_corpus_manifest(path: str | Path) -> list[CorpusEntry]:
             test_path=(path.parent / rec["test"]).resolve(),
             column_map=column_map,
         ))
-    return entries
+    wanted = set(pairs or ())
+    unknown = wanted - {str(pair) for pair in seen}
+    if unknown:
+        raise ManifestError(f"{path}: no entry for {sorted(unknown)}")
+    return [e for e in entries if not wanted or str(e.pair) in wanted]
 
 
 def load_corpora(manifest_path: str | Path, *, strict: bool = False,
                  pairs: Iterable[str] | None = None) -> list[Corpus]:
-    """Load every manifest entry's splits, in manifest order, each with the
-    rows it skipped (see load_corpus). With pairs given, only the listed
-    pairs' entries are read; the other TSVs are never opened."""
-    wanted = set(pairs) if pairs else None
+    """Load the splits of every entry load_corpus_manifest(manifest_path,
+    pairs) returns, in manifest order, each with the rows it skipped (see
+    load_corpus). So with pairs given, only the listed pairs' TSVs are
+    opened, and a listed pair the manifest lacks raises ManifestError
+    before any TSV is."""
     corpora = []
-    for entry in load_corpus_manifest(manifest_path):
-        if wanted is not None and str(entry.pair) not in wanted:
-            continue
+    for entry in load_corpus_manifest(manifest_path, pairs):
         train_hash, test_hash = hashlib.sha256(), hashlib.sha256()
         train_skipped, test_skipped = [], []
         train = load_corpus(entry.train_path, entry.pair, Split.TRAIN,

@@ -41,7 +41,7 @@ _RUN_LOG_LOCK = threading.Lock()  # overlapping runs take turns on the logger
 
 __all__ = [
     "ERROR_TAXONOMY", "RunManifest", "RunResult", "run", "build_mock_policy",
-    "parse_mock_arg", "load_listed_corpora", "render_prompts",
+    "parse_mock_arg", "render_prompts",
     "ResultTable", "TableCell", "build_result_table", "render_table",
     "render_detailed_table", "worst_deviations", "write_worst_tsv",
     "PAIR_ORDER",
@@ -160,27 +160,6 @@ def parse_mock_arg(text: str) -> dict:
         raise ManifestError(f"bad --mock value {text!r}: {exc}") from exc
 
 
-def load_listed_corpora(corpora_manifest: str | Path,
-                        pairs: list[str] | None) -> list[Corpus]:
-    """The corpora of the listed pairs, or of all pairs without a list; a
-    listed pair the corpus manifest lacks is a ManifestError, raised before
-    any TSV is read."""
-    _listed_entries(corpora_manifest, pairs)
-    return load_corpora(corpora_manifest, pairs=pairs)
-
-
-def _listed_entries(corpora_manifest: str | Path,
-                    pairs: list[str] | None) -> list[CorpusEntry]:
-    """The corpus-manifest entries of the listed pairs, in manifest order,
-    or every entry without a list; a listed pair the manifest lacks is a
-    ManifestError."""
-    entries = load_corpus_manifest(corpora_manifest)
-    unknown = set(pairs or ()) - {str(e.pair) for e in entries}
-    if unknown:
-        raise ManifestError(f"no corpus-manifest entry for {sorted(unknown)}")
-    return [e for e in entries if not pairs or str(e.pair) in pairs]
-
-
 def render_prompts(corpus: Corpus, template, seed: int,
                    icl_seed: int | None = None) -> list:
     """One prompt per test segment. ICL templates draw their exemplars from
@@ -210,18 +189,17 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     """Execute the manifest: render, infer, extract, evaluate, persist.
 
     Manifest and corpus problems fail fast, before the run directory is
-    written: no templates, an unknown pair, a bad corpus-manifest record,
-    or unusable inference settings, mock spec or endpoint URL raise
-    ManifestError; a corpus manifest or listed TSV that cannot be read, or
-    a TSV that is not UTF-8, raises FileUnreadable; a TSV header that
-    lacks a mapped column raises MissingColumn. These checks read each
-    TSV's bytes and header only. A pair's rows are parsed just before its
-    first combo that is not skipped, so a problem only parsing finds (a
-    field longer than csv.field_size_limit(), or a TSV whose bytes changed
-    since the run started) raises FileUnreadable there; the combos that
-    finished before it keep their markers and stay resumable. Malformed
-    rows are skipped and named in log.txt. Per-item inference failures are
-    recorded in the outputs and ledger without aborting.
+    written: no templates, a bad corpus-manifest record or a listed pair it
+    lacks (load_corpus_manifest), or unusable inference settings, mock spec
+    or endpoint URL raise ManifestError; a corpus manifest or listed TSV
+    that cannot be read, or a TSV that is not UTF-8, raises FileUnreadable;
+    a TSV header that lacks a mapped column raises MissingColumn. These
+    checks read each TSV's bytes and header only. A pair's rows are parsed
+    just before its first combo that is not skipped, so what only parsing
+    finds (see _load_pair) raises there; the combos that finished before
+    it keep their markers and stay resumable. Malformed rows are skipped
+    and named in log.txt. Per-item inference failures are recorded in the
+    outputs and ledger without aborting.
 
     Each finished combo leaves a marker, fingerprints/<stem>.json, holding
     its fingerprint (_combo_fingerprint) and the SHA-256 of its four
@@ -248,7 +226,7 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
 
     templates = load_templates(manifest.template_dir)
     # the fingerprints need each pair's digest, not its rows
-    listed = [(entry, corpus_digest(entry)) for entry in _listed_entries(
+    listed = [(entry, corpus_digest(entry)) for entry in load_corpus_manifest(
         manifest.corpora_manifest, manifest.pairs)]
     policy = None
     if backend is None:
@@ -302,15 +280,15 @@ def _load_pair(manifest: RunManifest, entry: CorpusEntry, digest: str,
                backend, policy) -> tuple[Corpus, object]:
     """entry's corpus, parsed, and the backend its combos dispatch to: the
     run's own, or a mock over this pair's gold scores. Logs the corpus's
-    split-size and skipped-row notes. A corpus whose digest is no longer
-    the one the run fingerprinted, or that the corpus manifest no longer
-    lists, raises FileUnreadable."""
-    corpora = load_corpora(manifest.corpora_manifest,
-                           pairs=[str(entry.pair)])
-    if [c.digest for c in corpora] != [digest]:
+    split-size and skipped-row notes. A field longer than
+    csv.field_size_limit(), or a corpus whose digest is no longer the one
+    the run fingerprinted, raises FileUnreadable; a pair the corpus
+    manifest no longer lists raises load_corpora's ManifestError."""
+    (corpus,) = load_corpora(manifest.corpora_manifest,
+                             pairs=[str(entry.pair)])
+    if corpus.digest != digest:
         raise FileUnreadable(f"the {entry.pair} corpus changed since the run "
                              f"started ({entry.train_path}, {entry.test_path})")
-    corpus = corpora[0]
     for warning in split_size_warnings(corpus):
         log.info("%s", warning)
     if backend is None:
@@ -685,10 +663,18 @@ def worst_deviations(corpus: Corpus, results: list[ExtractionResult],
 
 
 def write_worst_tsv(rows: list[dict], path: str | Path) -> None:
+    """rows as TSV that csv's excel-tab reader reads back field for field."""
     lines = ["# error_label vocabulary: " + "; ".join(ERROR_TAXONOMY),
              "pair\tsegment_id\tsource\ttranslation\tgold\tpred\tabs_dev\terror_label"]
     for r in rows:
-        lines.append(f"{r['pair']}\t{r['segment_id']}\t{r['source']}"
-                     f"\t{r['translation']}\t{r['gold']}\t{r['pred']}"
+        source, translation = map(_quoted, (r["source"], r["translation"]))
+        lines.append(f"{r['pair']}\t{r['segment_id']}\t{source}"
+                     f"\t{translation}\t{r['gold']}\t{r['pred']}"
                      f"\t{r['abs_dev']:.2f}\t")
     write_lines(path, (line + "\n" for line in lines))
+
+
+def _quoted(text: str) -> str:
+    """text, quoted as csv quotes it if it holds a tab, CR, LF or '"'."""
+    return ('"' + text.replace('"', '""') + '"'
+            if any(c in text for c in '\t\r\n"') else text)

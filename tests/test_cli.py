@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import qeharness
 from qeharness.cli import main
+from qeharness.extraction import ExtractionResult
 from qeharness.gateway import ModelOutput, PromptRef, TRANSPORT_OK
 
 from conftest import synthetic_corpus, write_corpus_manifest
@@ -347,6 +349,36 @@ def test_score_subcommand_with_dump_worst(tmp_path, corpora_manifest, capsys):
     assert "error_label" in worst[1]
 
 
+def test_dump_worst_keeps_texts_with_tabs_and_newlines(tmp_path, capsys):
+    # quoted TSV fields: a tab, a newline, a CR and a quote inside a text
+    texts = [("a\tb", "x\ny"), ('say "hi"', "cr\rhere"), ("one", "two"),
+             ("three", "four")]
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = ["original\ttranslation\tmean"] + [
+        "\t".join('"' + t.replace('"', '""') + '"' for t in pair) + f"\t{i}0"
+        for i, pair in enumerate(texts, start=1)]
+    for split in ("train", "test"):
+        (data / f"en-gu.{split}.tsv").write_text("\n".join(lines) + "\n",
+                                                encoding="utf-8", newline="")
+    corpora = data / "corpora.jsonl"
+    corpora.write_text(json.dumps({"pair": "en-gu", "train": "en-gu.train.tsv",
+                                   "test": "en-gu.test.tsv"}) + "\n")
+    extractions = tmp_path / "extractions.jsonl"
+    extractions.write_text("".join(json.dumps(ExtractionResult(
+        PromptRef("en-gu", i, "ag", 0), 100.0 - i).to_dict()) + "\n"
+        for i in range(1, len(texts) + 1)))
+
+    out_dir = tmp_path / "scored"
+    assert main(["score", "--manifest", str(corpora), "--extractions",
+                 str(extractions), "--pair", "en-gu", "--template", "ag",
+                 "--dump-worst", "4", "--out", str(out_dir)]) == 0
+    with (out_dir / "worst_4.tsv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh, dialect="excel-tab"))[2:]
+    assert [len(row) for row in rows] == [8] * len(texts)
+    assert sorted((row[2], row[3]) for row in rows) == sorted(texts)
+
+
 def test_fertility_subcommand(tmp_path, corpora_manifest, capsys):
     definitions = tmp_path / "defs"
     definitions.mkdir()
@@ -403,16 +435,6 @@ def test_export_sft_umt_pair_pools_only_that_pair(tmp_path, corpora_manifest,
                (out_dir / "sft_umt.jsonl").read_text().splitlines()]
     assert len(records) == 60
     assert {r["meta"]["pair"] for r in records} == {"en-gu"}
-
-
-def test_export_sft_ilt_unknown_pair_is_typed_error(tmp_path,
-                                                    corpora_manifest, capsys):
-    code = main(["export-sft", "--manifest", str(corpora_manifest),
-                 "--mode", "ilt", "--pair", "xx-yy",
-                 "--out", str(tmp_path / "sft")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error[EmptyTrainSplit]" in err and "xx-yy" in err
 
 
 def test_version_flag(capsys):

@@ -188,12 +188,26 @@ def test_bad_timing_setting_is_manifest_error(tmp_path, capsys, setting):
     (["render", "--template", "ag", "--pairs", "en-gu", "en-gx"], "en-gx"),
     (["score", "--template", "ag", "--pair", "xx-yy", "--extractions",
       "none.jsonl"], "xx-yy"),
-], ids=["render-unknown-pair", "render-one-unknown-pair", "score"])
+    (["run"], "xx-yy"),  # a run manifest listing en-gu and xx-yy
+    (["export-sft", "--mode", "umt", "--pair", "xx-yy"], "xx-yy"),
+    (["export-sft", "--mode", "ilt", "--pair", "xx-yy"], "xx-yy"),
+], ids=["render-unknown-pair", "render-one-unknown-pair", "score", "run",
+        "export-sft-umt", "export-sft-ilt"])
 def test_unknown_pair_is_manifest_error(tmp_path, capsys, command, named):
     corpora = write_corpus_manifest(
         tmp_path / "data", [synthetic_corpus("en-gu", n_train=20, n_test=5)])
+    # the pair is refused before any TSV is opened
+    for tsv in (tmp_path / "data").glob("*.tsv"):
+        tsv.unlink()
+    manifest = corpora
+    if command == ["run"]:
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({
+            "corpora_manifest": str(corpora), "templates": ["ag"],
+            "out_dir": str(tmp_path / "out"), "pairs": ["en-gu", "xx-yy"],
+            "mock": {"policy": "echo-score"}}), encoding="utf-8")
     out = tmp_path / "out"
-    assert main([*command, "--manifest", str(corpora), "--out",
+    assert main([*command, "--manifest", str(manifest), "--out",
                  str(out)]) == 1
     err = capsys.readouterr().err
     assert "error[ManifestError]" in err

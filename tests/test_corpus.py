@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from qeharness.corpus import (ColumnMap, LangPair, LoadDiagnostic, ScoreBin,
                               SCORE_BINS, Segment, Split, bin_of, histogram,
-                              load_corpora, load_corpus, split_size_warnings)
+                              load_corpora, load_corpus, load_corpus_manifest,
+                              split_size_warnings)
 from qeharness.corpus import read_jsonl, write_lines
-from qeharness.errors import (FileUnreadable, MissingColumn, RowParseError,
-                              ScoreOutOfRange)
+from qeharness.errors import (FileUnreadable, ManifestError, MissingColumn,
+                              RowParseError, ScoreOutOfRange)
 
 from conftest import synthetic_corpus, synthetic_segments, write_corpus_manifest, write_tsv
 
@@ -201,6 +202,33 @@ def test_manifest_load_corpora(tmp_path):
     assert [str(c.pair) for c in loaded] == ["en-gu", "si-en"]
     assert len(loaded[0].train) == 60
     assert len(loaded[1].test) == 20
+
+
+def _three_pairs_without_tsvs(tmp_path):
+    manifest = write_corpus_manifest(tmp_path, [
+        synthetic_corpus(pair, 4, 2) for pair in ("en-gu", "en-hi", "si-en")])
+    for tsv in tmp_path.glob("*.tsv"):
+        tsv.unlink()
+    return manifest
+
+
+@pytest.mark.parametrize("pairs", [["xx-yy"], ["en-gu", "en-gx"]])
+def test_unknown_pair_is_refused_before_any_tsv_is_opened(tmp_path, pairs):
+    manifest = _three_pairs_without_tsvs(tmp_path)
+    unknown = pairs[-1]
+    with pytest.raises(ManifestError, match=unknown):
+        load_corpus_manifest(manifest, pairs)
+    with pytest.raises(ManifestError, match=unknown):
+        load_corpora(manifest, pairs=pairs)
+
+
+def test_listed_pairs_come_in_manifest_order(tmp_path):
+    manifest = _three_pairs_without_tsvs(tmp_path)
+    for pairs in (["si-en", "en-gu"], iter(["si-en", "en-gu", "si-en"])):
+        entries = load_corpus_manifest(manifest, pairs)
+        assert [str(e.pair) for e in entries] == ["en-gu", "si-en"]
+    assert len(load_corpus_manifest(manifest, [])) == 3
+    assert len(load_corpus_manifest(manifest)) == 3
 
 
 def test_split_size_warnings_advisory():

@@ -14,7 +14,7 @@ import pytest
 import qeharness.pipeline as pipeline
 from qeharness.cli import main
 from qeharness.corpus import corpus_digest, load_corpora, load_corpus_manifest
-from qeharness.errors import FileUnreadable, MissingColumn
+from qeharness.errors import FileUnreadable, ManifestError, MissingColumn
 from qeharness.pipeline import RunManifest, run
 
 from conftest import synthetic_corpus, write_corpus_manifest
@@ -119,10 +119,14 @@ def _unlist_en_gu(data: Path) -> None:
     manifest.write_text("".join(lines[1:]), encoding="utf-8")
 
 
-@pytest.mark.parametrize("edit", [_append_a_row, _unlist_en_gu],
-                         ids=["tsv", "manifest"])
+# A pair the corpus manifest stops listing gets the ManifestError that run
+# gives for that input before it starts.
+@pytest.mark.parametrize("edit,error,match", [
+    (_append_a_row, FileUnreadable, "changed since the run started"),
+    (_unlist_en_gu, ManifestError, r"no entry for \['en-gu'\]"),
+], ids=["tsv", "manifest"])
 def test_corpus_changed_during_the_run_is_unreadable(tmp_path, monkeypatch,
-                                                     edit):
+                                                     edit, error, match):
     manifest = RunManifest.from_dict(_manifest_doc(tmp_path))
     load = pipeline.load_corpora
 
@@ -131,7 +135,7 @@ def test_corpus_changed_during_the_run_is_unreadable(tmp_path, monkeypatch,
         return load(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "load_corpora", edit_then_load)
-    with pytest.raises(FileUnreadable, match="changed since the run started"):
+    with pytest.raises(error, match=match):
         run(manifest)
 
 

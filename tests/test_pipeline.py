@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import os
@@ -574,6 +575,25 @@ def test_worst_deviation_rows_sorted_and_schema(tmp_path):
     assert header.split("\t") == ["pair", "segment_id", "source",
                                   "translation", "gold", "pred", "abs_dev",
                                   "error_label"]
+
+
+def test_worst_tsv_reads_back_field_for_field(tmp_path):
+    # texts the corpus reader accepts from quoted TSV fields
+    texts = [("a\tb", "x\ny"), ('say "hi"', "cr\rhere"), ("plain", "text")]
+    rows = [{"pair": "en-ta", "segment_id": i, "source": source,
+             "translation": translation, "gold": 50.0, "pred": 10.0 * i,
+             "abs_dev": abs(50.0 - 10.0 * i)}
+            for i, (source, translation) in enumerate(texts, start=1)]
+    out = tmp_path / "worst.tsv"
+    write_worst_tsv(rows, out)
+    with out.open(encoding="utf-8", newline="") as fh:
+        read = list(csv.reader(fh, dialect="excel-tab"))
+    assert read[2:] == [[r["pair"], str(r["segment_id"]), r["source"],
+                         r["translation"], str(r["gold"]), str(r["pred"]),
+                         f"{r['abs_dev']:.2f}", ""] for r in rows]
+    # a row without a tab, CR, LF or quote is written as it always was
+    assert out.read_bytes().endswith(b"en-ta\t3\tplain\ttext\t50.0\t30.0"
+                                     b"\t20.00\t\n")
 
 
 def test_worst_deviations_skip_segments_the_corpus_lacks():

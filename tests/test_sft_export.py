@@ -9,7 +9,8 @@ import pytest
 
 from qeharness import sft_export
 from qeharness.corpus import Corpus, LangPair, load_corpora
-from qeharness.errors import EmptyTrainSplit, PlaceholderUnresolved
+from qeharness.errors import (EmptyTrainSplit, ManifestError,
+                              PlaceholderUnresolved)
 from qeharness.extraction import extract_score
 from qeharness.prompts import TemplateId
 from qeharness.sft_export import (HYPERPARAMETER_MEMO, SftConfig, SftMode,
@@ -109,12 +110,13 @@ def test_ilt_single_pair_restriction(tmp_path, ag_template):
     assert not (tmp_path / "out" / "sft_ilt_en-gu.jsonl").exists()
 
 
-def test_ilt_unknown_pair(tmp_path, ag_template):
+def test_ilt_unknown_pair(tmp_path):
+    # an unknown pair is refused by the corpus manifest, not read as a pair
+    # with no train segments
     corpora_path = write_corpus_manifest(tmp_path / "data",
                                          _corpora({"en-gu": 5}))
-    with pytest.raises(EmptyTrainSplit):
-        export(load_corpora(corpora_path, pairs=["xx-yy"]),
-               SftConfig(SftMode.ILT), tmp_path / "out", ag_template)
+    with pytest.raises(ManifestError, match="xx-yy"):
+        load_corpora(corpora_path, pairs=["xx-yy"])
 
 
 def test_umt_zero_corpora(tmp_path, ag_template):

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -118,6 +119,7 @@ SCORE_BINS: tuple[ScoreBin, ...] = tuple(ScoreBin)
 for _position, _bin in enumerate(SCORE_BINS):
     _bin.index = _position
 del _position, _bin
+_BIN_UPPERS = tuple(b.hi for b in SCORE_BINS)
 
 
 def bin_of(score: float) -> ScoreBin:
@@ -129,10 +131,7 @@ def bin_of(score: float) -> ScoreBin:
     """
     if not (0.0 <= score <= 100.0):
         raise ScoreOutOfRange(f"score {score} outside [0, 100]")
-    for b in SCORE_BINS:
-        if score <= b.hi:
-            break
-    return b
+    return SCORE_BINS[bisect_left(_BIN_UPPERS, score)]
 
 
 def histogram(segments: list[Segment] | tuple[Segment, ...]) -> dict[ScoreBin, int]:

@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
@@ -208,7 +210,10 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     ledger are read back and nothing is rendered, dispatched or written.
     Otherwise the combo runs again, reusing persisted outputs segment by
     segment only when its marker names the same fingerprint; a missing
-    marker, or one naming another fingerprint, reuses none.
+    marker, or one naming another fingerprint, reuses none. The artifacts
+    of each combo that has a marker are hashed on a pool of one thread per
+    CPU while the TSV digests are taken; the pool's threads end before run
+    returns or raises.
     """
     if not manifest.templates:
         raise ManifestError("manifest lists no templates")
@@ -225,44 +230,56 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         owned = closing(backend)
 
     templates = load_templates(manifest.template_dir)
-    # the fingerprints need each pair's digest, not its rows
-    listed = [(entry, corpus_digest(entry)) for entry in load_corpus_manifest(
-        manifest.corpora_manifest, manifest.pairs)]
-    policy = None
-    if backend is None:
-        if manifest.mock is None:
-            raise EndpointMissing(
-                "manifest has neither an endpoint_url nor a mock policy")
-        policy = build_mock_policy(manifest.mock)
-
+    entries = load_corpus_manifest(manifest.corpora_manifest, manifest.pairs)
     out = Path(manifest.out_dir)
-    for sub in ("prompts", "outputs", "extractions", "reports", "fingerprints"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-    write_json(out / "manifest.json", manifest.to_dict())
+    # each pair's combos in run order, with their artifact and marker paths
+    combos = [[(tid, _combo_paths(out, str(entry.pair), templates[tid],
+                                  base_cfg.model_name, manifest.seed))
+               for tid in manifest.templates] for entry in entries]
+    with owned, _thread_pool() as pool:
+        # a combo with a marker may be skipped; its artifacts are hashed on
+        # the pool while the fingerprints' TSV digests are taken here
+        prehashed = {marker: pool.submit(_digests, artifacts)
+                     for pair_combos in combos
+                     for _, (artifacts, marker) in pair_combos
+                     if manifest.resume and marker.exists()}
+        listed = [(entry, corpus_digest(entry)) for entry in entries]
+        policy = None
+        if backend is None:
+            if manifest.mock is None:
+                raise EndpointMissing(
+                    "manifest has neither an endpoint_url nor a mock policy")
+            policy = build_mock_policy(manifest.mock)
 
-    reports: list[CorrelationReport] = []
-    ledgers: list[ExclusionLedger] = []
-    errors: dict = {}
-    dispatched_total = 0
+        for sub in ("prompts", "outputs", "extractions", "reports",
+                    "fingerprints"):
+            (out / sub).mkdir(parents=True, exist_ok=True)
+        write_json(out / "manifest.json", manifest.to_dict())
 
-    with owned, _run_log(out / "log.txt"):
-        log.info("run start: %d pairs, %d templates", len(listed),
-                 len(manifest.templates))
-        for entry, digest in listed:
-            load = cache(partial(_load_pair, manifest, entry, digest, backend,
-                                 policy))
-            for tid in manifest.templates:
-                dispatched, report, ledger, error = _run_combo(
-                    manifest, str(entry.pair), digest, load, tid,
-                    templates[tid], base_cfg, out)
-                dispatched_total += dispatched
-                ledgers.append(ledger)
-                if report is not None:
-                    reports.append(report)
-                if error is not None:
-                    errors[(str(entry.pair), tid.value)] = error
-            del load  # the pair's corpus goes with its last combo
-        log.info("run end: %d prompts dispatched", dispatched_total)
+        reports: list[CorrelationReport] = []
+        ledgers: list[ExclusionLedger] = []
+        errors: dict = {}
+        dispatched_total = 0
+
+        with _run_log(out / "log.txt"):
+            log.info("run start: %d pairs, %d templates", len(listed),
+                     len(manifest.templates))
+            for (entry, digest), pair_combos in zip(listed, combos):
+                load = cache(partial(_load_pair, manifest, entry, digest,
+                                     backend, policy))
+                for tid, paths in pair_combos:
+                    dispatched, report, ledger, error = _run_combo(
+                        manifest, str(entry.pair), digest, load, tid,
+                        templates[tid], base_cfg, paths,
+                        prehashed.pop(paths[1], None))
+                    dispatched_total += dispatched
+                    ledgers.append(ledger)
+                    if report is not None:
+                        reports.append(report)
+                    if error is not None:
+                        errors[(str(entry.pair), tid.value)] = error
+                del load  # the pair's corpus goes with its last combo
+            log.info("run end: %d prompts dispatched", dispatched_total)
 
     summary = {
         "reports": [r.to_dict() for r in reports],
@@ -320,28 +337,49 @@ def _run_log(path: Path):
             run_log.close()
 
 
+@contextmanager
+def _thread_pool():
+    """A pool of one thread per CPU. Leaving the block, by any path,
+    cancels the work not yet started and joins the threads."""
+    pool = ThreadPoolExecutor(os.cpu_count())
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _combo_paths(out: Path, pair: str, template, model_name: str, seed: int
+                 ) -> tuple[dict[str, Path], Path]:
+    """A combo's four artifact paths by kind, and its marker's path."""
+    tid = template.id.value
+    stem = f"{pair}__{tid}__{_safe(model_name)}__seed{seed}"
+    artifacts = {
+        "prompts": out / "prompts" / f"{pair}__{tid}__v{template.version}__seed{seed}.jsonl",
+        "outputs": out / "outputs" / f"{stem}.jsonl",
+        "extractions": out / "extractions" / f"{stem}.jsonl",
+        "report": out / "reports" / f"{stem}.json",
+    }
+    return artifacts, out / "fingerprints" / f"{stem}.json"
+
+
 def _run_combo(manifest: RunManifest, pair: str, digest: str, load,
                tid: TemplateId, template, base_cfg: InferenceConfig,
-               out: Path):
+               paths: tuple[dict[str, Path], Path], prehash):
     """Skip or run one combo; load() gives the pair's (corpus, backend),
-    which a skipped combo never asks for."""
+    which a skipped combo never asks for. paths are its _combo_paths;
+    prehash, when not None, is the future of its artifacts' _digests."""
     seed = manifest.seed
     cfg = base_cfg
     if "max_context_tokens" not in manifest.inference:
         cfg = replace(cfg, max_context_tokens=_context_default(tid))
 
-    stem = f"{pair}__{tid.value}__{_safe(cfg.model_name)}__seed{seed}"
-    artifacts = {
-        "prompts": out / "prompts" / f"{pair}__{tid.value}__v{template.version}__seed{seed}.jsonl",
-        "outputs": out / "outputs" / f"{stem}.jsonl",
-        "extractions": out / "extractions" / f"{stem}.jsonl",
-        "report": out / "reports" / f"{stem}.json",
-    }
-    marker_path = out / "fingerprints" / f"{stem}.json"
+    artifacts, marker_path = paths
     fingerprint = _combo_fingerprint(manifest, digest, template, cfg)
     marker = _read_marker(marker_path) if manifest.resume else {}
     matches = marker.get("fingerprint") == fingerprint
-    if matches and _artifacts_unchanged(artifacts, marker.get("artifacts")):
+    if matches and _artifacts_unchanged(
+            marker.get("artifacts"),
+            _digests(artifacts) if prehash is None else prehash.result()):
         report, ledger, error = read_json(artifacts["report"], _report_file,
                                           ManifestError)
         log.info("%s/%s: skipped, finished under the same fingerprint", pair,
@@ -447,19 +485,28 @@ def _read_marker(path: Path) -> dict:
     return marker if isinstance(marker, dict) else {}
 
 
-def _artifacts_unchanged(paths: dict, recorded) -> bool:
-    """Whether each artifact still hashes to the digest the marker
-    recorded for it."""
-    return (isinstance(recorded, dict) and recorded.keys() == paths.keys()
-            and all(_sha256_of(paths[k]) == recorded[k] for k in paths))
+def _artifacts_unchanged(recorded, digests: dict) -> bool:
+    """Whether the marker recorded, for each artifact, the digest its file
+    hashes to now (digests, from _digests). An artifact that cannot be read
+    matches nothing, not even a recorded null."""
+    return recorded == digests and None not in digests.values()
+
+
+def _digests(artifacts: dict[str, Path]) -> dict[str, str | None]:
+    """Each artifact's _sha256_of, by kind."""
+    return {kind: _sha256_of(path) for kind, path in artifacts.items()}
 
 
 def _sha256_of(path: Path) -> str | None:
+    """The SHA-256 hex digest of the file at path, or None when it cannot
+    be read. hashlib and the reads release the GIL, so threads hash files
+    in parallel."""
     digest = hashlib.sha256()
+    buffer = memoryview(bytearray(1 << 18))
     try:
-        with path.open("rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
+        with path.open("rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                digest.update(buffer[:size])
     except OSError:
         return None
     return digest.hexdigest()

@@ -288,15 +288,16 @@ def select_icl_exemplars(train: list[Segment] | tuple[Segment, ...],
                 f"segment {seg.id} is from the {seg.split.value} split")
 
     pair = str(train[0].pair)
-    # bin -> its segments by id, first occurrence of an id wins
-    by_bin: dict[ScoreBin, dict[int, Segment]] = {b: {} for b in SCORE_BINS}
+    # each bin's segments by id, at the bin's index; the first occurrence
+    # of an id wins
+    by_bin: list[dict[int, Segment]] = [{} for _ in SCORE_BINS]
     for seg in train:
-        by_bin[bin_of(seg.da_mean)].setdefault(seg.id, seg)
+        by_bin[bin_of(seg.da_mean).index].setdefault(seg.id, seg)
 
     used: set[int] = set()
 
     def best_unused(label: str, source: ScoreBin) -> Segment | None:
-        members = by_bin[source]
+        members = by_bin[source.index]
         for seg_id in _ranked_ids(seed, pair, label, tuple(members)):
             if seg_id not in used:
                 return members[seg_id]
@@ -320,7 +321,7 @@ def select_icl_exemplars(train: list[Segment] | tuple[Segment, ...],
     exemplars = [pick(b) for b in base_bins]
 
     if config is IclConfig.ICL7:
-        populated = [b for b in SCORE_BINS if by_bin[b]]
+        populated = [b for b in SCORE_BINS if by_bin[b.index]]
         exemplars.append(pick(populated[0]))    # extra from lowest range
         exemplars.append(pick(populated[-1]))   # extra from highest range
 
@@ -340,10 +341,10 @@ def _ranked_ids(seed: int, pair: str, label: str,
     return tuple(sorted(ids, key=lambda i: rank_key(seed, pair, label, i)))
 
 
-def _nearest_populated(by_bin: dict[ScoreBin, dict[int, Segment]],
+def _nearest_populated(by_bin: list[dict[int, Segment]],
                        target: ScoreBin, used: set[int]) -> ScoreBin:
     candidates = [b for b in SCORE_BINS
-                  if any(i not in used for i in by_bin[b])]
+                  if any(i not in used for i in by_bin[b.index])]
     if not candidates:
         raise EmptyBin(target.label)
     # closest bin wins; ties resolve toward the lower range

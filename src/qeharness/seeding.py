@@ -16,7 +16,7 @@ T = TypeVar("T")
 
 def stable_hash(*parts: object) -> int:
     """256-bit integer digest of the given parts, null-byte delimited."""
-    payload = b"\x00".join(str(p).encode("utf-8") for p in parts)
+    payload = "\x00".join(map(str, parts)).encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest(), "big")
 
 

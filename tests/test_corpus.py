@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,26 @@ def test_segment_rejects_blank_text():
 ])
 def test_bin_boundaries(score, expected):
     assert bin_of(score) is expected
+
+
+def _oracle_bin(score: float) -> ScoreBin:
+    """The bin whose range, closed above, holds score."""
+    for upper, b in ((30, ScoreBin.B0_30), (50, ScoreBin.B31_50),
+                     (70, ScoreBin.B51_70), (90, ScoreBin.B71_90),
+                     (100, ScoreBin.B91_100)):
+        if score <= upper:
+            return b
+
+
+# every 0.5 step, which holds each boundary and the step past it (30, 30.5,
+# ..., 90, 90.5), and the floats on either side of each boundary
+@pytest.mark.parametrize("score", [
+    *(step / 2 for step in range(201)),
+    *(math.nextafter(b, to) for b in (30.0, 50.0, 70.0, 90.0)
+      for to in (0.0, 100.0)),
+])
+def test_bin_of_agrees_with_the_oracle(score):
+    assert bin_of(score) is _oracle_bin(score)
 
 
 def test_bin_of_rejects_out_of_range():

@@ -6,12 +6,16 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import qeharness
 import qeharness.pipeline as pipeline
+from qeharness.errors import FileUnreadable
 from qeharness.pipeline import RunManifest, run
 
 from conftest import synthetic_corpus, write_corpus_manifest
@@ -163,6 +167,25 @@ def test_deleted_artifact_takes_the_full_path(tmp_path, counted, kind):
     assert result.inference_calls == (N_TEST if kind == "outputs" else 0)
     assert counted == {"render": 1, "write_jsonl": 3}
     assert path.read_bytes() == original
+
+
+def test_null_digest_does_not_vouch_for_a_missing_file(tmp_path, counted):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    out = Path(manifest.out_dir)
+    marker = next((out / "fingerprints").iterdir())
+    doc = json.loads(marker.read_text(encoding="utf-8"))
+    doc["artifacts"]["prompts"] = None
+    marker.write_text(json.dumps(doc), encoding="utf-8")
+    prompts = next((out / "prompts").iterdir())
+    original = prompts.read_bytes()
+    prompts.unlink()
+    counted.update(render=0, write_jsonl=0)
+
+    # the outputs stay vouched for by the fingerprint, so none is dispatched
+    assert run(manifest).inference_calls == 0
+    assert counted == {"render": 1, "write_jsonl": 3}
+    assert prompts.read_bytes() == original
 
 
 def test_deleted_marker_takes_the_full_path(tmp_path, counted):
@@ -317,3 +340,122 @@ def test_unreadable_marker_reuses_nothing(tmp_path):
     marker.write_text('{"fingerprint": ', encoding="utf-8")
     assert run(manifest).inference_calls == N_TEST
     assert run(manifest).inference_calls == 0
+
+
+# -- the artifacts are hashed on a thread pool ---------------------------------
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The paths pipeline._sha256_of hashed, in call order. delay["s"], when
+    set, is how long each call sleeps first, so that a run still hashes
+    when it fails."""
+    paths, delay = [], {"s": 0.0}
+    real = pipeline._sha256_of
+
+    def counting(path):
+        time.sleep(delay["s"])
+        paths.append(path)  # one append at a time under the GIL
+        return real(path)
+
+    monkeypatch.setattr(pipeline, "_sha256_of", counting)
+    return paths, delay
+
+
+def _tree(out: Path) -> dict:
+    """Every file under out with its bytes and modification time."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _artifacts(out: Path) -> dict:
+    return {p: p.read_bytes() for sub in ARTIFACT_DIRS + ("fingerprints",)
+            for p in sorted((out / sub).iterdir())}
+
+
+def test_noop_resume_hashes_each_artifact_once(tmp_path, hashed):
+    manifest = _manifest(tmp_path)
+    run(manifest)
+    paths, _ = hashed
+    assert paths == []  # the writes took the digests
+    threads = set(threading.enumerate())
+
+    assert run(manifest).inference_calls == 0
+    out = Path(manifest.out_dir)
+    assert sorted(paths) == sorted(p for sub in ARTIFACT_DIRS
+                                   for p in (out / sub).iterdir())
+    assert set(threading.enumerate()) == threads
+
+
+def test_template_listed_twice_is_dispatched_once(tmp_path, counted):
+    # the second combo finds the marker the first wrote during the run, and
+    # hashes the files the first left, not what was there when it started
+    manifest = _manifest(tmp_path, templates=["ag", "ag"])
+    assert run(manifest).inference_calls == N_TEST
+    assert run(manifest).inference_calls == 0
+    next((Path(manifest.out_dir) / "outputs").iterdir()).unlink()
+    counted.update(render=0, write_jsonl=0)
+    assert run(manifest).inference_calls == N_TEST
+    assert counted == {"render": 1, "write_jsonl": 3}
+
+
+def test_fresh_run_hashes_nothing_and_leaves_no_thread(tmp_path, hashed):
+    threads = set(threading.enumerate())
+    # the last run has markers to read, but resume is off
+    for resume, out_dir in ((False, "run"), (True, "new"), (False, "run")):
+        result = run(_manifest(tmp_path, resume=resume,
+                               out_dir=str(tmp_path / out_dir)))
+        assert result.inference_calls == N_TEST * len(TEMPLATES)
+        assert set(threading.enumerate()) == threads
+    assert hashed[0] == []
+
+
+def test_failing_resume_cancels_and_joins_its_hashing(tmp_path, hashed,
+                                                     monkeypatch):
+    # one worker, so the second combo's hashing is still queued at the error
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor",
+                        lambda workers: ThreadPoolExecutor(1))
+    manifest = _manifest(tmp_path)
+    run(manifest)
+    out = Path(manifest.out_dir)
+    before = _tree(out)
+    tsv = tmp_path / "data" / "en-gu.test.tsv"
+    tsv.write_bytes(tsv.read_bytes() + b"a\t\xff\t50\n")
+    paths, delay = hashed
+    delay["s"] = 0.05
+    threads = set(threading.enumerate())
+
+    with pytest.raises(FileUnreadable):
+        run(manifest)
+    done = len(paths)
+    assert done <= 4  # at most the first combo's four artifacts
+    time.sleep(0.2)
+    assert len(paths) == done  # no hash runs after run() raised
+    assert set(threading.enumerate()) == threads
+    assert _tree(out) == before
+
+
+class _Interrupted:
+    """A backend interrupted, as by Ctrl-C, on its first call."""
+
+    waits = False
+    deterministic = True
+
+    def generate_once(self, prompt):
+        raise KeyboardInterrupt
+
+
+def test_interrupted_resume_leaves_no_thread_and_resumes(tmp_path):
+    manifest = _manifest(tmp_path)
+    run(manifest)
+    out = Path(manifest.out_dir)
+    uninterrupted = _artifacts(out)
+    next((out / "outputs").glob("*__ag_icl3__*")).unlink()
+    threads = set(threading.enumerate())
+
+    # ag is skipped; ag_icl3 must dispatch again, and is interrupted
+    with pytest.raises(KeyboardInterrupt):
+        run(manifest, backend=_Interrupted())
+    assert set(threading.enumerate()) == threads
+
+    assert run(manifest).inference_calls == N_TEST
+    assert _artifacts(out) == uninterrupted

@@ -17,8 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import (SCORE_BINS, Field, ScoreBin, Segment, Split, bin_of,
-                     json_fields, read_json)
+from .corpus import (SCORE_BINS, Field, LangPair, ScoreBin, Segment, Split,
+                     bin_of, json_fields, read_json)
 from .errors import (EmptyBin, ExemplarCountMismatch, ExemplarLeakage,
                      PlaceholderUnresolved, TemplateInvalid, TemplateMissing)
 from .seeding import rank_key
@@ -29,7 +29,7 @@ __all__ = [
     "TemplateId", "ZERO_SHOT_TEMPLATES", "ICL_TEMPLATES", "ICL_EXEMPLAR_COUNTS",
     "IclConfig", "PromptTemplate", "IclExemplar", "RenderedPrompt",
     "LANGUAGE_NAMES", "language_name", "load_templates", "prompt_lines",
-    "render_zero_shot", "select_icl_exemplars", "render_icl",
+    "fill_template", "render_zero_shot", "select_icl_exemplars", "render_icl",
 ]
 
 
@@ -193,16 +193,20 @@ class RenderedPrompt:
 def prompt_lines(prompts: Iterable[RenderedPrompt]) -> Iterator[str]:
     """Each prompt's line, json.dumps(p.to_dict(), sort_keys=True) + "\\n".
     JSON escapes text per code point (RFC 8259 section 7), so the head a
-    combo's prompts share is escaped once; each line adds its tail's."""
+    combo's prompts share is escaped once; each line adds its tail's. A
+    text that does not start with its head is escaped whole."""
     escape = json.encoder.encode_basestring_ascii  # json.dumps' own
     head, escaped = None, ""
     for p in prompts:
         if p.head is not head:
             head, escaped = p.head, escape(p.head)[:-1]
+        # the escaped head and where the tail starts, or the whole text
+        opening, start = ((escaped, len(head)) if p.text.startswith(head)
+                          else ('"', 0))
         yield (f'{{"pair": {escape(p.pair)}, "seed": {p.seed!r}, '
                f'"segment_id": {p.target_segment_id!r}, "template": '
-               f'{escape(p.template.value)}, "text": {escaped}'
-               f'{escape(p.text[len(head):])[1:]}}}\n')
+               f'{escape(p.template.value)}, "text": {opening}'
+               f'{escape(p.text[start:])[1:]}}}\n')
 
 
 # an ICL prompt's fill order; a value may hold a later placeholder's name
@@ -210,33 +214,40 @@ _ICL_FILL_ORDER = ("source_lang", "target_lang", "examples", "source_text",
                    "translation_text")
 
 
+def fill_template(template: PromptTemplate, pair: LangPair,
+                  examples: str | None = None,
+                  ) -> tuple[str, tuple[str, str, str] | None]:
+    """template's body for pair: the language names (and an ICL block)
+    filled in, and the pieces it splits into around the first {source_text}
+    and the next {translation_text}. The pieces are None when either
+    placeholder is missing or a piece holds a "{", as then a placeholder
+    could survive splicing a segment's texts between them."""
+    text = template.body.replace("{source_lang}",
+                                 language_name(pair.source_lang), 1)
+    text = text.replace("{target_lang}", language_name(pair.target_lang), 1)
+    if examples is not None:
+        text = text.replace("{examples}", examples, 1)
+    pre, found, rest = text.partition("{source_text}")
+    mid, found_too, post = rest.partition("{translation_text}")
+    spliced = found and found_too and "{" not in pre + mid + post
+    return text, (pre, mid, post) if spliced else None
+
+
 def _render(template: PromptTemplate, segments: Iterable[Segment], seed: int,
             exemplars: tuple[IclExemplar, ...],
             examples: str | None) -> list[RenderedPrompt]:
-    """One prompt per segment. Per distinct pair the body's language names
-    (and an ICL block) are filled once and split around the first
-    {source_text} and the next {translation_text}. A segment is spliced
-    into those pieces when neither they nor its texts hold a "{", so no
-    placeholder can survive; else each placeholder's first occurrence is
-    filled in _ICL_FILL_ORDER (examples only for ICL) and a survivor
-    raises."""
+    """One prompt per segment, from fill_template's body and pieces for
+    each distinct pair. A segment is spliced into the pieces when its texts
+    hold no "{"; else each placeholder's first occurrence is filled in
+    _ICL_FILL_ORDER (examples only for ICL) and a survivor raises."""
     names = _TARGET_PLACEHOLDERS if examples is None else _ICL_FILL_ORDER
     combos: dict = {}  # pair -> (str(pair), filled body, pieces or None)
     prompts = []
     for seg in segments:
         combo = combos.get(seg.pair)
         if combo is None:
-            text = template.body.replace(
-                "{source_lang}", language_name(seg.pair.source_lang), 1)
-            text = text.replace(
-                "{target_lang}", language_name(seg.pair.target_lang), 1)
-            if examples is not None:
-                text = text.replace("{examples}", examples, 1)
-            pre, found, rest = text.partition("{source_text}")
-            mid, found_too, post = rest.partition("{translation_text}")
-            spliced = found and found_too and "{" not in pre + mid + post
-            combo = combos[seg.pair] = (str(seg.pair), text,
-                                        (pre, mid, post) if spliced else None)
+            combo = combos[seg.pair] = (
+                str(seg.pair), *fill_template(template, seg.pair, examples))
         pair, filled, pieces = combo
         if pieces and "{" not in seg.source + seg.translation:
             pre, mid, post = pieces

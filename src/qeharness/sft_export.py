@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, Segment, write_json, write_lines
 from .errors import EmptyTrainSplit
-from .prompts import PromptTemplate, TemplateId, render_zero_shot
+from .prompts import (PromptTemplate, TemplateId, fill_template,
+                      render_zero_shot)
 from .seeding import seeded_order
 
 __all__ = [
@@ -33,8 +34,8 @@ HYPERPARAMETER_MEMO = {
     "precision": "fp16",
 }
 
-# records rendered and written at a time: the 75,000 instructions of
-# perfbench's pooled export take 168 MB, a chunk of them about 9 MB
+# lines made and written at a time: the 75,000 lines of perfbench's
+# pooled export take 122 MB, a chunk of them about 7 MB
 _CHUNK = 4096
 
 
@@ -67,20 +68,31 @@ def sft_lines(records: Iterable[SftRecord]) -> Iterator[str]:
     for a meta of a string pair, an int segment_id and a string
     template_version, as build_records makes. Each distinct head is escaped
     once; the pooled shuffle interleaves the pairs, so the escaped heads
-    are kept by head, not just the last one."""
+    are kept by head, not just the last one. An instruction that does not
+    start with its head is escaped whole."""
     escape = json.encoder.encode_basestring_ascii  # json.dumps' own
     heads: dict[str, str] = {}
     for r in records:
         head = heads.get(r.head)
         if head is None:
             head = heads[r.head] = escape(r.head)[:-1]
+        opening, start = ((head, len(r.head))
+                          if r.instruction.startswith(r.head) else ('"', 0))
         meta = r.meta
-        yield (f'{{"instruction": {head}'
-               f'{escape(r.instruction[len(r.head):])[1:]}, "meta": '
-               f'{{"pair": {escape(meta["pair"])}, "segment_id": '
-               f'{meta["segment_id"]!r}, "template_version": '
-               f'{escape(meta["template_version"])}}}, "output": '
-               f'{escape(r.output)}}}\n')
+        before, after = _line_end(escape(meta["pair"]),
+                                  escape(meta["template_version"]),
+                                  escape(r.output))
+        yield (f'{{"instruction": {opening}'
+               f'{escape(r.instruction[start:])[1:]}{before}'
+               f'{meta["segment_id"]!r}{after}')
+
+
+def _line_end(pair: str, version: str, output: str) -> tuple[str, str]:
+    """An SFT line's JSON after its instruction, from the JSON-escaped
+    pair, template version and output, split around the segment_id: the
+    "meta" object, then "output", keys in sorted order."""
+    return (f', "meta": {{"pair": {pair}, "segment_id": ',
+            f', "template_version": {version}}}, "output": {output}}}\n')
 
 
 def build_records(corpus: Corpus, template: PromptTemplate) -> list[SftRecord]:
@@ -110,12 +122,52 @@ def _records(template: PromptTemplate,
 
 def _shuffled_lines(segments: Sequence[Segment], template: PromptTemplate,
                     seed: int) -> Iterator[str]:
-    """sft_lines of the segments' records in the seeded shuffle, rendered
-    _CHUNK at a time, so at most one chunk of instructions is alive."""
+    """The lines sft_lines makes of the segments' records, in the seeded
+    shuffle, each written straight from its segment, _CHUNK segments at a
+    time. A pair's fill_template pieces are escaped once, and its line ends
+    once per distinct score; a line adds the escapes of its segment's texts
+    (JSON escapes per code point, so that equals escaping the whole
+    instruction) and its segment_id. A segment whose texts hold a "{", or
+    whose pair has no pieces, is rendered alone by render_zero_shot."""
+    escape = json.encoder.encode_basestring_ascii  # json.dumps' own
     order = seeded_order(segments, seed, "sft-shuffle",
                          key=lambda seg: (str(seg.pair), seg.id))
-    return sft_lines(rec for start in range(0, len(order), _CHUNK)
-                     for rec in _records(template, order[start:start + _CHUNK]))
+    version = escape(template.version)
+    outputs: dict = {}  # score -> its escaped output
+    # pair -> (its escaped pieces or None, its escaped name,
+    #          its line ends by score)
+    pairs: dict = {}
+    for start in range(0, len(order), _CHUNK):
+        lines = []
+        for seg in order[start:start + _CHUNK]:
+            pair = pairs.get(seg.pair)
+            if pair is None:
+                pieces = fill_template(template, seg.pair)[1]
+                pair = pairs[seg.pair] = (
+                    pieces and [escape(piece)[1:-1] for piece in pieces],
+                    escape(str(seg.pair)), {})
+            pieces, name, ends = pair
+            # a zero by its repr, as 0.0 == -0.0 while they format apart
+            score = seg.da_mean or repr(seg.da_mean)
+            end = ends.get(score)
+            if end is None:
+                output = outputs.get(score)
+                if output is None:
+                    output = outputs[score] = escape(
+                        f"Score: {seg.da_mean:.1f}")
+                end = ends[score] = _line_end(name, version, output)
+            before, after = end
+            source, translation = seg.source, seg.translation
+            if pieces and "{" not in source and "{" not in translation:
+                pre, mid, post = pieces
+                lines.append(f'{{"instruction": "{pre}{escape(source)[1:-1]}'
+                             f'{mid}{escape(translation)[1:-1]}{post}"'
+                             f'{before}{seg.id!r}{after}')
+            else:
+                prompt = render_zero_shot(template, [seg])[0]
+                lines.append(f'{{"instruction": {escape(prompt.text)}'
+                             f'{before}{seg.id!r}{after}')
+        yield from lines
 
 
 def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
@@ -123,12 +175,13 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     """Write the dataset files and return the export manifest.
 
     Pooled mode writes sft_umt.jsonl; per-pair mode writes one
-    sft_ilt_{pair}.jsonl per corpus. Records are rendered and written a
-    chunk at a time. Every file is finished under a temp name before any
-    is moved into place, so an export that raises replaces no file; files
-    are byte-identical for a fixed shuffle seed. The manifest records
-    per-pair counts and the hyperparameter memo, and is written alongside.
-    Each line is sft_lines' formatting of a record.
+    sft_ilt_{pair}.jsonl per corpus. Each line is written straight from
+    its segment, a chunk at a time (see _shuffled_lines), and equals
+    sft_lines' formatting of its build_records record. Every file is
+    finished under a temp name before any is moved into place, so an
+    export that raises replaces no file; files are byte-identical for a
+    fixed shuffle seed. The manifest records per-pair counts and the
+    hyperparameter memo, and is written alongside.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

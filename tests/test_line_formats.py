@@ -7,12 +7,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qeharness.extraction import (ExtractionResult, extract_batch,
                                   extraction_lines)
 from qeharness.gateway import (FAIL_TIMEOUT, ModelOutput, PromptRef,
                                TRANSPORT_OK, output_lines)
+from qeharness.prompts import RenderedPrompt, TemplateId, prompt_lines
 from qeharness.sft_export import SftRecord, sft_lines
 
 from test_prompts import _JSON_TEXT
@@ -83,6 +84,23 @@ def test_sft_lines_equal_sorted_key_json(heads, rows):
                          head=heads[at % len(heads)])
                for at, tail, output, pair, segment_id, version in rows]
     assert list(sft_lines(records)) == _oracle(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_JSON_TEXT, other=_JSON_TEXT, cut=st.integers(0, 40),
+       kind=st.sampled_from(["prefix", "other", "empty", "whole"]))
+@example(text="Hello world", other="Bye ", cut=0, kind="other")
+def test_a_head_that_is_not_a_prefix_is_not_trusted(text, other, cut, kind):
+    # a head that is not its text's prefix must not replace any of the
+    # text: the line is the text escaped whole
+    head = {"prefix": text[:cut], "other": other, "empty": "",
+            "whole": text}[kind]
+    record = SftRecord(text, "Score: 5.0", {"pair": "en-gu", "segment_id": 1,
+                                            "template_version": "1.0.0"},
+                       head=head)
+    prompt = RenderedPrompt(TemplateId.AG, text, (), 1, "en-gu", 0, head=head)
+    assert list(sft_lines([record])) == _oracle([record])
+    assert list(prompt_lines([prompt])) == _oracle([prompt])
 
 
 def test_each_shared_part_is_escaped_once(monkeypatch):

@@ -1,29 +1,48 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qeharness import sft_export
-from qeharness.corpus import Corpus, LangPair, load_corpora
+import qeharness
+from qeharness import prompts, sft_export
+from qeharness.corpus import Corpus, LangPair, Segment, load_corpora
 from qeharness.errors import (EmptyTrainSplit, ManifestError,
                               PlaceholderUnresolved)
 from qeharness.extraction import extract_score
-from qeharness.prompts import TemplateId
+from qeharness.prompts import TemplateId, load_templates
 from qeharness.sft_export import (HYPERPARAMETER_MEMO, SftConfig, SftMode,
                                   build_records, export)
 from qeharness.seeding import seeded_order
 
 from conftest import synthetic_corpus, synthetic_segments, write_corpus_manifest
 from qeharness.corpus import Split
+from test_prompts import _JSON_TEXT
 
 
 @pytest.fixture
 def ag_template(templates):
     return templates[TemplateId.AG]
+
+
+@pytest.fixture(scope="module")
+def braced_ag(tmp_path_factory):
+    """The AG template of a template dir whose AG body holds a "{" beside
+    its placeholders, so the body splits into no pieces."""
+    directory = tmp_path_factory.mktemp("templates")
+    shutil.copytree(Path(qeharness.__file__).parent / "templates", directory,
+                    dirs_exist_ok=True)
+    body = directory / "ag.txt"
+    body.write_text(body.read_text(encoding="utf-8")
+                    + 'Reply as {"score": n}.\n', encoding="utf-8")
+    return load_templates(directory)[TemplateId.AG]
 
 
 def _corpora(sizes: dict[str, int], seed=3):
@@ -236,3 +255,86 @@ def test_export_memory_is_bounded_by_its_chunk(tmp_path, ag_template,
             tracemalloc.stop()
 
     assert peak(8 * 128) < 2 * peak(128)
+
+
+# -- lines written from segments ---------------------------------------------------
+
+# xx and qqq have no LANGUAGE_NAMES entry: the body names them by code
+_CODES = ("en", "gu", "si", "xx", "qqq")
+# texts JSON escapes, ones holding a "{", and ones whose placeholder name
+# survives substitution, so render raises
+_TEXT = st.one_of(_JSON_TEXT.filter(str.strip),
+                  st.just("a {translation_text}"))
+# 0.0 == -0.0, but their outputs differ
+_SCORE = st.one_of(st.sampled_from([0.0, -0.0, 100.0]),
+                   st.floats(0.0, 100.0))
+_TRAINS = st.dictionaries(
+    st.tuples(st.sampled_from(_CODES), st.sampled_from(_CODES)).map("-".join),
+    st.lists(st.tuples(_TEXT, _TEXT, _SCORE), min_size=1, max_size=6),
+    min_size=1, max_size=3)
+
+
+def _train_corpora(trains) -> list[Corpus]:
+    corpora = []
+    for name, rows in trains.items():
+        pair = LangPair.parse(name)
+        corpora.append(Corpus(pair, train=tuple(
+            Segment(i, source, translation, score, pair, Split.TRAIN)
+            for i, (source, translation, score) in enumerate(rows)),
+            test=()))
+    return corpora
+
+
+@pytest.mark.parametrize("mode", list(SftMode))
+@settings(max_examples=60, deadline=None)
+@given(trains=_TRAINS, braced=st.booleans(), seed=st.integers(0, 3))
+@example(trains={"en-gu": [("a", "b", 0.0), ("c", "d", -0.0)],
+                 "xx-en": [("e", "f", -0.0)]}, braced=False, seed=0)
+def test_written_lines_equal_the_record_oracle(templates, braced_ag, mode,
+                                               trains, braced, seed):
+    template = braced_ag if braced else templates[TemplateId.AG]
+    corpora = _train_corpora(trains)
+    try:
+        if mode is SftMode.UMT:
+            expected = {"sft_umt.jsonl": _oracle_lines(corpora, template,
+                                                       seed)}
+        else:
+            expected = {f"sft_ilt_{c.pair}.jsonl":
+                        _oracle_lines([c], template, seed) for c in corpora}
+    except PlaceholderUnresolved:
+        expected = None
+    with tempfile.TemporaryDirectory() as out, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sft_export, "_CHUNK", 2)
+        if expected is None:
+            with pytest.raises(PlaceholderUnresolved):
+                export(corpora, SftConfig(mode, seed), out, template)
+            assert not list(Path(out).iterdir())
+            return
+        export(corpora, SftConfig(mode, seed), out, template)
+        for name, text in expected.items():
+            assert (Path(out) / name).read_bytes() == text.encode("ascii")
+
+
+def test_only_segments_that_need_it_are_rendered(tmp_path, ag_template,
+                                                 braced_ag, monkeypatch):
+    rendered = []
+    render = prompts._render
+
+    def recording(template, segments, *args):
+        segments = list(segments)
+        rendered.extend(seg.id for seg in segments)
+        return render(template, segments, *args)
+
+    monkeypatch.setattr(prompts, "_render", recording)
+    corpus = synthetic_corpus("en-gu", n_train=10, n_test=1)
+    train = tuple(replace(seg, translation=seg.translation + " {x}")
+                  if seg.id in (3, 7) else seg for seg in corpus.train)
+    corpora = [replace(corpus, train=train)]
+    for template, expected in ((ag_template, [3, 7]),
+                               (braced_ag, list(range(1, 11)))):
+        rendered.clear()
+        export(corpora, SftConfig(SftMode.UMT), tmp_path, template)
+        assert sorted(rendered) == expected
+        assert ((tmp_path / "sft_umt.jsonl").read_text(encoding="utf-8")
+                == _oracle_lines(corpora, template, 0))

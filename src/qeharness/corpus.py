@@ -8,6 +8,7 @@ z-normalized columns, when present, are ignored.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -22,15 +23,16 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import (FileUnreadable, ManifestError, MissingColumn,
-                     RowParseError, ScoreOutOfRange)
+from .errors import (FileUnreadable, FileUnwritable, ManifestError,
+                     MissingColumn, RowParseError, ScoreOutOfRange)
 
 __all__ = [
     "LangPair", "Split", "Segment", "Corpus", "ScoreBin", "SCORE_BINS",
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
     "CorpusEntry", "load_corpus_manifest", "load_corpora", "corpus_digest",
-    "EXPECTED_SPLIT_SIZES", "split_size_warnings",
-    "write_lines", "write_json", "read_jsonl", "read_records", "read_json",
+    "utf8_check", "EXPECTED_SPLIT_SIZES", "split_size_warnings",
+    "write_lines", "write_json", "staged_writes", "writing", "read_jsonl",
+    "read_records", "read_json",
     "Field", "json_fields",
 ]
 
@@ -260,38 +262,64 @@ def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> str:
     """Stream lines, each ending in a newline, to path, atomically (see
-    _write_atomic). Returns the SHA-256 hex digest of the bytes written."""
-    lines = iter(lines)
-    # 64 lines a chunk: chunks of 512 long ICL prompt lines raised a full
-    # run's peak RSS by about 14 MB. Only the end of lines gives an empty one.
-    return _write_atomic(path, iter(lambda: "".join(islice(lines, 64)), ""))
+    staged_writes). Returns the SHA-256 hex digest of the bytes written."""
+    digest = hashlib.sha256()
+    with staged_writes() as write:
+        write(path, lines, digest)
+    return digest.hexdigest()
 
 
 def write_json(path: str | Path, doc) -> str:
     """Write doc as indented sorted-key JSON, atomically. Returns the
     SHA-256 hex digest of the bytes written."""
-    return _write_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+    return write_lines(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
-def _write_atomic(path: str | Path, chunks: Iterable[str]) -> str:
-    """Write the UTF-8 encoding of chunks to a temp file and move it into
-    place, so the file at path is never seen half written; a write that
-    raises removes the temp file and leaves path as it was. Returns the
-    SHA-256 hex digest of the bytes written, taken on the way out."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    digest = hashlib.sha256()
-    try:
-        with tmp.open("wb") as fh:
-            for chunk in chunks:
+@contextmanager
+def staged_writes():
+    """The package's one file writer. In the block, write(path, lines,
+    hasher=None) streams the UTF-8 encoding of lines, each ending in a
+    newline, to a temp file beside path, feeding the bytes to hasher (a
+    hashlib object) when given. Leaving the block moves every file written
+    into place, so no file is seen half written; leaving it by an
+    exception, an interrupt too, removes every temp file and leaves each
+    path as it was. A failure to write or move a file raises FileUnwritable
+    naming its path, after the same clean-up."""
+    staged: list[tuple[Path, Path]] = []  # (temp, final) of each write
+
+    def write(path: str | Path, lines: Iterable[str], hasher=None) -> None:
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        staged.append((tmp, path))
+        lines = iter(lines)
+        # 64 lines a chunk: chunks of 512 long ICL prompt lines raised a
+        # full run's peak RSS by about 14 MB. Only the end gives "".
+        with writing(path), tmp.open("wb") as fh:
+            for chunk in iter(lambda: "".join(islice(lines, 64)), ""):
                 data = chunk.encode("utf-8")
-                digest.update(data)
+                if hasher is not None:
+                    hasher.update(data)
                 fh.write(data)
-        os.replace(tmp, path)
+
+    try:
+        yield write
+        for tmp, path in staged:
+            with writing(path):
+                os.replace(tmp, path)
     except BaseException:  # an interrupt too: leave no temp file behind
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
-    return digest.hexdigest()
+
+
+@contextmanager
+def writing(path: Path):
+    """Turn a failure to write or make the file or directory at path into
+    FileUnwritable naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise FileUnwritable(f"cannot write {path}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
@@ -485,20 +513,69 @@ def load_corpora(manifest_path: str | Path, *, strict: bool = False,
     return corpora
 
 
-def corpus_digest(entry: CorpusEntry) -> str:
+def corpus_digest(entry: CorpusEntry, *, check_utf8: bool = True) -> str:
     """The Corpus.digest load_corpora gives entry's corpus, taken from the
-    bytes of its two TSVs without parsing a row. Each file fails as loading
-    it would when it cannot be read or is not UTF-8 (FileUnreadable) or
-    when its header lacks a mapped column (MissingColumn)."""
+    bytes of its two TSVs in one pass each, without parsing a row or
+    holding a whole file. Each file fails as loading it would when it
+    cannot be read (FileUnreadable) or when its header lacks a mapped
+    column (MissingColumn). With check_utf8 (the default) the pass also
+    decodes each file, which fails as loading would (FileUnreadable) when
+    it is not UTF-8; without it only the header is decoded, so a caller
+    that already knows these bytes to be UTF-8 skips the whole-file check,
+    and one that does not runs utf8_check(entry) before it trusts them."""
     hashes = []
     for path in (entry.train_path, entry.test_path):
-        with _reading(path):
-            data = Path(path).read_bytes()
-            data.decode("utf-8")  # the check alone; the text is not kept
-            header = next(_tsv_rows(data), [])
+        hashes.append(hashlib.sha256())
+        header = _scan(path, hashes[-1], check_utf8)
         _column_indices(header, entry.column_map)
-        hashes.append(hashlib.sha256(data))
     return _digest(entry.column_map, *hashes)
+
+
+def utf8_check(entry: CorpusEntry) -> None:
+    """Raise FileUnreadable naming the first of entry's two TSVs that is
+    not UTF-8 (or cannot be read), as loading it would."""
+    for path in (entry.train_path, entry.test_path):
+        _scan(path, None, True)
+
+
+_SLICE = 1 << 20  # bytes a TSV is read in, so no pass holds a whole file
+
+
+def _scan(path: Path, hasher, check_utf8: bool) -> list[str]:
+    """Read the TSV at path in _SLICE-byte slices, feeding each to hasher
+    (a hashlib object, or None) and, with check_utf8, to an incremental
+    UTF-8 decoder whose text is dropped. Returns its header row as
+    load_corpus reads it (see _whole_header)."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    buffer = memoryview(bytearray(_SLICE))
+    head = bytearray()  # the bytes read until the header row is whole
+    header = None
+    with _reading(path), open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            data = buffer[:size]
+            if hasher is not None:
+                hasher.update(data)
+            if check_utf8:
+                decoder.decode(data)
+            if header is None:
+                head += data
+                header = _whole_header(head)
+        decoder.decode(b"", final=True)
+        # a file of one row, or none, ends before a second row begins
+        return next(_tsv_rows(head), []) if header is None else header
+
+
+def _whole_header(head: bytearray) -> list[str] | None:
+    """The first csv row of head once it is whole, or None. Each newline
+    of head is tried in turn as its end: the row ends there if, with a
+    line of its own added after it, csv reads two rows, so no byte of the
+    second row is read. A newline never falls inside a UTF-8 sequence."""
+    end = 0
+    while end := head.find(b"\n", end) + 1:
+        rows = list(islice(_tsv_rows(head[:end] + b"_\n"), 2))
+        if len(rows) == 2:
+            return rows[0]
+    return None
 
 
 def _digest(column_map: ColumnMap, train_hash, test_hash) -> str:

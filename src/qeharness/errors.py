@@ -17,6 +17,10 @@ class FileUnreadable(HarnessError):
     pass
 
 
+class FileUnwritable(HarnessError):
+    """A file or directory the harness writes could not be made."""
+
+
 class MissingColumn(HarnessError):
     def __init__(self, name: str):
         super().__init__(f"required column missing: {name!r}")

@@ -21,11 +21,12 @@ from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import (Corpus, CorpusEntry, Field, corpus_digest, json_fields,
                      load_corpora, load_corpus_manifest, read_json,
-                     read_records, split_size_warnings, write_json,
-                     write_lines)
+                     read_records, split_size_warnings, utf8_check,
+                     write_json, write_lines, writing)
 from .errors import (EndpointMissing, FileUnreadable, ManifestError,
                      HarnessError)
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
@@ -194,14 +195,17 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     written: no templates, a bad corpus-manifest record or a listed pair it
     lacks (load_corpus_manifest), or unusable inference settings, mock spec
     or endpoint URL raise ManifestError; a corpus manifest or listed TSV
-    that cannot be read, or a TSV that is not UTF-8, raises FileUnreadable;
+    that cannot be read, or a TSV that is not UTF-8 (checked only for a
+    pair with a combo that no marker vouches for), raises FileUnreadable;
     a TSV header that lacks a mapped column raises MissingColumn. These
-    checks read each TSV's bytes and header only. A pair's rows are parsed
-    just before its first combo that is not skipped, so what only parsing
-    finds (see _load_pair) raises there; the combos that finished before
-    it keep their markers and stay resumable. Malformed rows are skipped
-    and named in log.txt. Per-item inference failures are recorded in the
-    outputs and ledger without aborting.
+    checks read each TSV's bytes and header only, in slices. A pair's rows
+    are parsed just before its first combo that is not skipped, so what
+    only parsing finds (see _load_pair) raises there; the combos that
+    finished before it keep their markers and stay resumable. Malformed
+    rows are skipped and named in log.txt. Per-item inference failures are
+    recorded in the outputs and ledger without aborting. A file or run
+    subdirectory, or log.txt, that cannot be written raises FileUnwritable
+    naming it.
 
     Each finished combo leaves a marker, fingerprints/<stem>.json, holding
     its fingerprint (_combo_fingerprint) and the SHA-256 of its four
@@ -210,10 +214,12 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     ledger are read back and nothing is rendered, dispatched or written.
     Otherwise the combo runs again, reusing persisted outputs segment by
     segment only when its marker names the same fingerprint; a missing
-    marker, or one naming another fingerprint, reuses none. The artifacts
-    of each combo that has a marker are hashed on a pool of one thread per
-    CPU while the TSV digests are taken; the pool's threads end before run
-    returns or raises.
+    marker, or one naming another fingerprint, reuses none. Each pair is
+    planned as soon as its TSVs are hashed (_plan_pair): only the combos
+    whose marker names their fingerprint have their artifacts hashed, on a
+    pool of one thread per CPU, while the next pair's TSVs are hashed, and
+    only a pair with a combo no marker vouches for has its TSVs checked as
+    UTF-8. The pool's threads end before run returns or raises.
     """
     if not manifest.templates:
         raise ManifestError("manifest lists no templates")
@@ -232,18 +238,9 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     templates = load_templates(manifest.template_dir)
     entries = load_corpus_manifest(manifest.corpora_manifest, manifest.pairs)
     out = Path(manifest.out_dir)
-    # each pair's combos in run order, with their artifact and marker paths
-    combos = [[(tid, _combo_paths(out, str(entry.pair), templates[tid],
-                                  base_cfg.model_name, manifest.seed))
-               for tid in manifest.templates] for entry in entries]
     with owned, _thread_pool() as pool:
-        # a combo with a marker may be skipped; its artifacts are hashed on
-        # the pool while the fingerprints' TSV digests are taken here
-        prehashed = {marker: pool.submit(_digests, artifacts)
-                     for pair_combos in combos
-                     for _, (artifacts, marker) in pair_combos
-                     if manifest.resume and marker.exists()}
-        listed = [(entry, corpus_digest(entry)) for entry in entries]
+        plans = [(entry, *_plan_pair(manifest, entry, templates, base_cfg,
+                                     pool)) for entry in entries]
         policy = None
         if backend is None:
             if manifest.mock is None:
@@ -253,7 +250,8 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
 
         for sub in ("prompts", "outputs", "extractions", "reports",
                     "fingerprints"):
-            (out / sub).mkdir(parents=True, exist_ok=True)
+            with writing(out / sub):
+                (out / sub).mkdir(parents=True, exist_ok=True)
         write_json(out / "manifest.json", manifest.to_dict())
 
         reports: list[CorrelationReport] = []
@@ -262,22 +260,20 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         dispatched_total = 0
 
         with _run_log(out / "log.txt"):
-            log.info("run start: %d pairs, %d templates", len(listed),
+            log.info("run start: %d pairs, %d templates", len(plans),
                      len(manifest.templates))
-            for (entry, digest), pair_combos in zip(listed, combos):
+            for entry, digest, pair_combos in plans:
                 load = cache(partial(_load_pair, manifest, entry, digest,
                                      backend, policy))
-                for tid, paths in pair_combos:
+                for combo in pair_combos:
                     dispatched, report, ledger, error = _run_combo(
-                        manifest, str(entry.pair), digest, load, tid,
-                        templates[tid], base_cfg, paths,
-                        prehashed.pop(paths[1], None))
+                        manifest, str(entry.pair), load, combo)
                     dispatched_total += dispatched
                     ledgers.append(ledger)
                     if report is not None:
                         reports.append(report)
                     if error is not None:
-                        errors[(str(entry.pair), tid.value)] = error
+                        errors[(str(entry.pair), combo.tid.value)] = error
                 del load  # the pair's corpus goes with its last combo
             log.info("run end: %d prompts dispatched", dispatched_total)
 
@@ -323,7 +319,8 @@ def _run_log(path: Path):
     with _RUN_LOG_LOCK:
         level = logger.level
         stderr = [] if logger.hasHandlers() else [logging.lastResort]
-        run_log = logging.FileHandler(path, encoding="utf-8")
+        with writing(path):
+            run_log = logging.FileHandler(path, encoding="utf-8")
         run_log.setFormatter(logging.Formatter("%(asctime)s %(message)s",
                                                "%Y-%m-%dT%H:%M:%S"))
         added = [run_log, *filter(None, stderr)]
@@ -348,6 +345,59 @@ def _thread_pool():
         pool.shutdown(cancel_futures=True)
 
 
+class _Combo(NamedTuple):
+    """A (pair, template) combo as _plan_pair plans it: its template, its
+    inference settings, its fingerprint (_combo_fingerprint), its four
+    artifact paths by kind, its marker's path, and the future of its
+    artifacts' _digests when they were submitted for hashing, else None."""
+
+    tid: TemplateId
+    template: object
+    cfg: InferenceConfig
+    fingerprint: str
+    artifacts: dict[str, Path]
+    marker: Path
+    prehash: object
+
+
+def _plan_pair(manifest: RunManifest, entry: CorpusEntry, templates: dict,
+               base_cfg: InferenceConfig, pool) -> tuple[str, list[_Combo]]:
+    """entry's corpus_digest and its combos in run order. With resume on,
+    the artifacts of each combo whose marker names its fingerprint are
+    submitted to pool for hashing, while the next pair's TSVs are hashed.
+    A template listed twice shares one marker: only its first combo's
+    artifacts are submitted, and the second hashes what the first left.
+
+    The whole-file UTF-8 check of the TSVs runs only for a pair with a
+    combo that no marker vouches for: _run_combo writes a marker only after
+    _load_pair has parsed, so decoded, bytes with this digest. It runs in
+    the digest pass when some combo has no marker (a fresh run: one pass
+    per TSV), and in a second pass (utf8_check) when the markers name other
+    fingerprints, which only the digest shows."""
+    out = Path(manifest.out_dir)
+    pair = str(entry.pair)
+    paths = [_combo_paths(out, pair, templates[tid], base_cfg.model_name,
+                          manifest.seed) for tid in manifest.templates]
+    recorded = [_read_marker(marker).get("fingerprint") if manifest.resume
+                else None for _, marker in paths]
+    marked = None not in recorded
+    digest = corpus_digest(entry, check_utf8=not marked)
+    combos = []
+    for tid, (artifacts, marker), fingerprint in zip(manifest.templates,
+                                                     paths, recorded):
+        cfg = base_cfg
+        if "max_context_tokens" not in manifest.inference:
+            cfg = replace(cfg, max_context_tokens=_context_default(tid))
+        ours = _combo_fingerprint(manifest, digest, templates[tid], cfg)
+        prehash = (pool.submit(_digests, artifacts) if fingerprint == ours
+                   and all(c.marker != marker for c in combos) else None)
+        combos.append(_Combo(tid, templates[tid], cfg, ours, artifacts,
+                             marker, prehash))
+    if marked and any(c.fingerprint != f for c, f in zip(combos, recorded)):
+        utf8_check(entry)
+    return digest, combos
+
+
 def _combo_paths(out: Path, pair: str, template, model_name: str, seed: int
                  ) -> tuple[dict[str, Path], Path]:
     """A combo's four artifact paths by kind, and its marker's path."""
@@ -362,19 +412,13 @@ def _combo_paths(out: Path, pair: str, template, model_name: str, seed: int
     return artifacts, out / "fingerprints" / f"{stem}.json"
 
 
-def _run_combo(manifest: RunManifest, pair: str, digest: str, load,
-               tid: TemplateId, template, base_cfg: InferenceConfig,
-               paths: tuple[dict[str, Path], Path], prehash):
+def _run_combo(manifest: RunManifest, pair: str, load, combo: _Combo):
     """Skip or run one combo; load() gives the pair's (corpus, backend),
-    which a skipped combo never asks for. paths are its _combo_paths;
-    prehash, when not None, is the future of its artifacts' _digests."""
+    which a skipped combo never asks for. The marker is read here again,
+    so a template listed twice sees the marker its twin wrote in this
+    run."""
     seed = manifest.seed
-    cfg = base_cfg
-    if "max_context_tokens" not in manifest.inference:
-        cfg = replace(cfg, max_context_tokens=_context_default(tid))
-
-    artifacts, marker_path = paths
-    fingerprint = _combo_fingerprint(manifest, digest, template, cfg)
+    tid, template, cfg, fingerprint, artifacts, marker_path, prehash = combo
     marker = _read_marker(marker_path) if manifest.resume else {}
     matches = marker.get("fingerprint") == fingerprint
     if matches and _artifacts_unchanged(

@@ -10,13 +10,12 @@ hyperparameters ride along as a provenance memo and are never executed.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus, Segment, write_json, write_lines
+from .corpus import Corpus, Segment, staged_writes, write_json
 from .errors import EmptyTrainSplit
 from .prompts import (PromptTemplate, TemplateId, fill_template,
                       render_zero_shot)
@@ -178,8 +177,9 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     sft_ilt_{pair}.jsonl per corpus. Each line is written straight from
     its segment, a chunk at a time (see _shuffled_lines), and equals
     sft_lines' formatting of its build_records record. Every file is
-    finished under a temp name before any is moved into place, so an
-    export that raises replaces no file; files are byte-identical for a
+    finished under its temp name, unhashed, before any is moved into place
+    (staged_writes), so an export that raises replaces no file and each
+    file is renamed once; files are byte-identical for a
     fixed shuffle seed. The manifest records per-pair counts and the
     hyperparameter memo, and is written alongside.
     """
@@ -198,19 +198,10 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
         files = {pair: f"sft_ilt_{pair}.jsonl" for pair in sorted(trains)}
         parts = trains
 
-    staged: list[Path] = []  # finished files under their temp names
-    try:
+    with staged_writes() as write:
         for key, name in files.items():
-            write_lines(out_dir / f"{name}.tmp",
-                        _shuffled_lines(parts[key], template,
-                                        config.shuffle_seed))
-            staged.append(out_dir / f"{name}.tmp")
-    except BaseException:  # an interrupt too: leave no temp file behind
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
-        raise
-    for tmp in staged:
-        os.replace(tmp, tmp.with_suffix(""))
+            write(out_dir / name, _shuffled_lines(parts[key], template,
+                                                  config.shuffle_seed))
 
     manifest = {
         "mode": config.mode.value,

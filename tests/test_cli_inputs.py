@@ -485,3 +485,37 @@ def test_empty_tokenizer_definition_names_its_file(tmp_path, capsys, spec,
     definition, err = _fertility_error(tmp_path, capsys, spec)
     assert f"error[TokenizerDefinitionError]: {definition}: " in err
     assert named in err
+
+
+# -- a file the run cannot write ----------------------------------------------
+
+_STEM = "en-gu__ag__mock-model__seed3"
+
+
+@pytest.mark.parametrize("blocked,resume", [
+    (f"reports/{_STEM}.json", True),
+    (f"fingerprints/{_STEM}.json", False),
+    ("summary.json", False),
+    ("log.txt", False),
+    ("outputs", False),
+], ids=["report", "marker", "summary", "log", "outputs-dir"])
+def test_unwritable_path_is_typed_error(tmp_path, capsys, blocked, resume):
+    manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"})
+    out = tmp_path / "run"
+    path = out / blocked
+    if resume:  # a finished run whose report is then blocked
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        path.unlink()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if blocked == "outputs":
+        path.write_text("a file where a directory goes\n", encoding="utf-8")
+    else:
+        path.mkdir()
+    capsys.readouterr()
+
+    argv = ["run", "--manifest", str(manifest)] + (["--resume"] if resume
+                                                   else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error[FileUnwritable]: cannot write {path}: " in err
+    assert not list(out.rglob("*.tmp"))

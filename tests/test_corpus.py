@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
+
+import qeharness.corpus as corpus
 
 from qeharness.corpus import (ColumnMap, LangPair, LoadDiagnostic, ScoreBin,
                               SCORE_BINS, Segment, Split, bin_of, histogram,
@@ -13,6 +17,8 @@ from qeharness.corpus import (ColumnMap, LangPair, LoadDiagnostic, ScoreBin,
 from qeharness.corpus import read_jsonl, write_lines
 from qeharness.errors import (FileUnreadable, ManifestError, MissingColumn,
                               RowParseError, ScoreOutOfRange)
+from qeharness.prompts import TemplateId
+from qeharness.sft_export import SftConfig, SftMode, export
 
 from conftest import synthetic_corpus, synthetic_segments, write_corpus_manifest, write_tsv
 
@@ -287,6 +293,32 @@ def test_write_that_raises_leaves_no_temp_file(tmp_path, fault):
         write_lines(path, lines())
     assert path.read_text(encoding="utf-8") == "before\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+@pytest.mark.parametrize("mode", list(SftMode))
+def test_export_hashes_only_its_manifest_and_renames_each_file_once(
+        tmp_path, templates, monkeypatch, mode):
+    sha256_calls, moves = [], []
+    sha256, move = corpus.hashlib.sha256, corpus.os.replace
+
+    def counting_sha256(*args):
+        sha256_calls.append(args)
+        return sha256(*args)
+
+    def recording_move(src, dst):
+        moves.append((Path(src).name, Path(dst).name))
+        move(src, dst)
+
+    monkeypatch.setattr(corpus, "hashlib",
+                        SimpleNamespace(sha256=counting_sha256))
+    monkeypatch.setattr(corpus.os, "replace", recording_move)
+    corpora = [synthetic_corpus(pair, n_train=6, n_test=2)
+               for pair in ("en-gu", "si-en")]
+    manifest = export(corpora, SftConfig(mode), tmp_path,
+                      templates[TemplateId.AG])
+    assert len(sha256_calls) == 1  # write_json's digest of the manifest
+    names = list(manifest["files"].values()) + ["sft_manifest.json"]
+    assert moves == [(f"{name}.tmp", name) for name in names]
 
 
 def test_read_jsonl_skips_blank_lines(tmp_path):

@@ -6,11 +6,15 @@ bytes and header show still fail before the run directory is written."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import qeharness.corpus as corpus
 import qeharness.pipeline as pipeline
 from qeharness.cli import main
 from qeharness.corpus import corpus_digest, load_corpora, load_corpus_manifest
@@ -21,6 +25,7 @@ from conftest import synthetic_corpus, write_corpus_manifest
 
 PAIRS = {"en-gu": 12, "si-en": 8}  # pair -> test segments
 TEMPLATES = ["ag", "ag_icl3"]
+TSVS = [f"{pair}.{split}.tsv" for pair in PAIRS for split in ("train", "test")]
 
 
 def _data(tmp_path) -> Path:
@@ -57,6 +62,21 @@ def parsed(monkeypatch):
     monkeypatch.setattr(pipeline, "load_corpora", counting_load)
     monkeypatch.setattr(pipeline, "gold_map", counting_gold)
     return seen
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Each pass over a TSV the digest pass and utf8_check make, in order:
+    the file's name and whether the pass checked it as UTF-8."""
+    passes = []
+    scan = corpus._scan
+
+    def recording(path, hasher, check_utf8):
+        passes.append((Path(path).name, check_utf8))
+        return scan(path, hasher, check_utf8)
+
+    monkeypatch.setattr(corpus, "_scan", recording)
+    return passes
 
 
 def _tree(out: Path) -> dict:
@@ -140,6 +160,134 @@ def test_corpus_changed_during_the_run_is_unreadable(tmp_path, monkeypatch,
 
 
 # -- the digest pass ----------------------------------------------------------
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_fresh_run_reads_each_tsv_once_up_front(tmp_path, scanned, resume):
+    # a resume into a new directory finds no marker: nothing vouches
+    manifest = RunManifest.from_dict({**_manifest_doc(tmp_path),
+                                      "resume": resume})
+    run(manifest)
+    assert scanned == [(name, True) for name in TSVS]
+
+
+def test_noop_resume_checks_no_tsv_as_utf8(tmp_path, scanned):
+    manifest = RunManifest.from_dict({**_manifest_doc(tmp_path),
+                                      "resume": True})
+    run(manifest)
+    scanned.clear()
+    assert run(manifest).inference_calls == 0
+    assert scanned == [(name, False) for name in TSVS]
+
+
+def test_resume_with_one_deleted_marker_checks_only_its_pair(tmp_path,
+                                                             scanned):
+    manifest = RunManifest.from_dict({**_manifest_doc(tmp_path),
+                                      "resume": True})
+    run(manifest)
+    next((tmp_path / "run" / "fingerprints").glob("si-en__ag__*")).unlink()
+    scanned.clear()
+    assert run(manifest).inference_calls == PAIRS["si-en"]
+    assert scanned == [(name, name.startswith("si-en")) for name in TSVS]
+
+
+def test_resume_under_another_setting_checks_in_a_second_pass(tmp_path,
+                                                              scanned):
+    doc = {**_manifest_doc(tmp_path), "resume": True}
+    run(RunManifest.from_dict(doc))
+    scanned.clear()
+    doc["inference"] = {**doc["inference"], "temperature": 0.85}
+    again = run(RunManifest.from_dict(doc))
+    assert again.inference_calls == sum(PAIRS.values()) * len(TEMPLATES)
+    # only the digest shows that the markers name other fingerprints
+    assert scanned == [(name, check) for pair in PAIRS for check in (False, True)
+                       for name in TSVS if name.startswith(pair)]
+
+
+def test_vouched_pair_with_a_changed_artifact_is_parsed(tmp_path, scanned,
+                                                        parsed):
+    manifest = RunManifest.from_dict({**_manifest_doc(tmp_path),
+                                      "resume": True})
+    run(manifest)
+    next((tmp_path / "run" / "prompts").glob("en-gu__ag__*")).unlink()
+    scanned.clear()
+    parsed.update(pairs=[], gold=0)
+    assert run(manifest).inference_calls == 0
+    assert scanned == [(name, False) for name in TSVS]
+    # _load_pair decodes what the marker vouched for
+    assert parsed["pairs"] == [["en-gu"]]
+
+
+def test_noop_resume_holds_no_whole_tsv(tmp_path):
+    manifest = RunManifest.from_dict({**_manifest_doc(tmp_path),
+                                      "templates": ["ag"], "resume": True})
+    train = tmp_path / "data" / "en-gu.train.tsv"
+    train.write_text("original\ttranslation\tmean\n" + "".join(
+        f"{'a long source sentence ' * 40}{i}\tits translation {i}\t50\n"
+        for i in range(5000)), encoding="utf-8")
+    size = train.stat().st_size
+    assert size >= 4_000_000
+    run(manifest)
+
+    tracemalloc.start()
+    try:
+        assert run(manifest).inference_calls == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size
+
+
+_TSV_TEXT = st.text(st.sampled_from(["a", "é", "ગ", "😀", "\t", "\n", "\r",
+                                     '"', " "]), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(before=_TSV_TEXT, after=_TSV_TEXT, body=_TSV_TEXT,
+       tail=st.binary(max_size=3), slice_size=st.integers(1, 16))
+@example(before='"a\nb"\t', after="", body="x\ty\t1\n", tail=b"",
+         slice_size=2)  # the mapped columns after a quoted newline
+def test_sliced_digest_agrees_with_the_whole_file(tmp_path_factory, before,
+                                                  after, body, tail,
+                                                  slice_size):
+    # any slice size, any header around the mapped columns, quoted newlines
+    # too, and any bytes at the end
+    base = tmp_path_factory.mktemp("data")
+    manifest = _data(base)
+    entry = load_corpus_manifest(manifest)[0]
+    entry.train_path.write_bytes(
+        (before + "original\ttranslation\tmean" + after + "\n"
+         + body).encode() + tail)
+    data = entry.train_path.read_bytes()
+
+    def outcome(fn):
+        try:
+            return fn()
+        except (FileUnreadable, MissingColumn) as exc:
+            return type(exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_SLICE", slice_size)
+        checked = outcome(lambda: corpus_digest(entry))
+        unchecked = outcome(lambda: corpus_digest(entry, check_utf8=False))
+        utf8 = outcome(lambda: corpus.utf8_check(entry))
+    digest = corpus._digest(entry.column_map, hashlib.sha256(data),
+                            hashlib.sha256(entry.test_path.read_bytes()))
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert checked is utf8 is FileUnreadable
+        # unchecked, only the header is decoded
+        assert unchecked in (FileUnreadable, MissingColumn, digest)
+        return
+    assert utf8 is None
+    # the whole-file reading the slices replace
+    header = outcome(lambda: next(corpus._tsv_rows(data), []))
+    expected = outcome(lambda: corpus._column_indices(header,
+                                                      entry.column_map))
+    if expected is MissingColumn:
+        assert checked is unchecked is MissingColumn
+        return
+    assert checked == unchecked == digest == load_corpora(manifest)[0].digest
 
 def test_corpus_digest_is_the_loaded_digest(tmp_path):
     manifest = _data(tmp_path)

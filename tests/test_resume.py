@@ -386,6 +386,15 @@ def test_noop_resume_hashes_each_artifact_once(tmp_path, hashed):
     assert set(threading.enumerate()) == threads
 
 
+def test_resume_under_another_temperature_hashes_no_artifact(tmp_path,
+                                                            hashed):
+    run(_manifest(tmp_path))
+    # no marker names the new fingerprint, so no combo can be skipped
+    again = run(_manifest(tmp_path, inference={"temperature": 0.85}))
+    assert again.inference_calls == N_TEST * len(TEMPLATES)
+    assert hashed[0] == []
+
+
 def test_template_listed_twice_is_dispatched_once(tmp_path, counted):
     # the second combo finds the marker the first wrote during the run, and
     # hashes the files the first left, not what was there when it started

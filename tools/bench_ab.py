@@ -2,7 +2,7 @@
 
     python3 tools/bench_ab.py --parent 7a65003 --change HEAD --seeds 151-160 \
         --work /tmp/bench_ab [--workloads mock_resume,mock_full] \
-        [--seconds 10] [--traced-seed 151] [--claim TEXT]
+        [--seconds 10] [--traced-seed 151]
 
 Each commit is exported with `git archive` to <work>/parent and
 <work>/change, two paths of equal length, since perfbench's artifact_mb
@@ -155,7 +155,6 @@ def main() -> int:
                         help="comma-separated; default: all of BENCHMARK.json")
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--traced-seed", type=int, default=None)
-    parser.add_argument("--claim", default=None)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
 
@@ -184,8 +183,6 @@ def main() -> int:
             f"start with the parent); seeds {args.seeds[0]}-{args.seeds[-1]} "
             f"for {', '.join(workloads)}; made by tools/bench_ab.py"),
     }
-    if args.claim:
-        doc["claim"] = args.claim
     doc["summary"] = {w: summarize(runs[w], metrics) for w in workloads}
     doc["runs"] = runs
     if args.traced_seed is not None:

@@ -10,7 +10,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (SCORE_BINS, Field, histogram, json_fields, load_corpora,
                      read_json, read_records, split_size_warnings, write_json,
-                     write_lines)
+                     write_lines, writing)
 from .errors import HarnessError, ManifestError
 from .extraction import (ExtractionResult, extract_batch, extraction_lines,
                          untrustworthy)
@@ -183,7 +183,8 @@ def cmd_extract(args) -> int:
     results, ledger = extract_batch(outputs, model=args.model)
 
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
+        with writing(args.out):
+            args.out.mkdir(parents=True, exist_ok=True)
         write_lines(args.out / "extractions.jsonl", extraction_lines(results))
         write_json(args.out / "ledger.json", ledger.to_dict())
     print(f"total={ledger.total} excluded={ledger.excluded_count} "
@@ -204,7 +205,8 @@ def cmd_score(args) -> int:
           f"[{report.significance.value}]")
 
     out_dir = args.out or Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", report.to_dict())
     if args.dump_worst:
         rows = worst_deviations(corpus, results, args.dump_worst)
@@ -263,7 +265,8 @@ def cmd_fertility(args) -> int:
               f"{f.segment_id}: {f.error}")
 
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
+        with writing(args.out):
+            args.out.mkdir(parents=True, exist_ok=True)
         write_summary_tsv(summaries, args.out / "fertility_summary.tsv")
         write_records_jsonl(records, args.out / "fertility_records.jsonl")
         write_plot_data_tsv(summaries, args.out / "fertility_plot_data.tsv")

@@ -181,13 +181,9 @@ def load_corpus(path: str | Path, pair: LangPair, split: Split,
     file that cannot be read, is not UTF-8 or holds a field longer than
     csv.field_size_limit() raises FileUnreadable naming it.
     """
-    column_map = column_map or ColumnMap()
-    with _reading(path):
-        data = Path(path).read_bytes()
-        if hasher is not None:
-            hasher.update(data)
-        return _segments(_tsv_rows(data), pair, split, column_map, strict,
-                         diagnostics)
+    with _reading(path), open(path, "rb", buffering=0) as fh:
+        return _segments(_rows(_Slices(fh, hasher)), pair, split,
+                         column_map or ColumnMap(), strict, diagnostics)
 
 
 @contextmanager
@@ -200,10 +196,45 @@ def _reading(path: str | Path):
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
 
-def _tsv_rows(data: bytes) -> Iterator[list[str]]:
-    """The csv rows of TSV bytes, decoded as UTF-8 as they are read."""
-    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                       newline=""), dialect="excel-tab")
+_SLICE = 1 << 20  # bytes a TSV is read in, so no pass holds a whole file
+
+
+class _Slices(io.RawIOBase):
+    """The binary file fh, read _SLICE bytes at a time, each slice fed as
+    it is read to hasher (a hashlib object, or None) and, with check_utf8,
+    to a UTF-8 decoder whose text is dropped."""
+
+    def __init__(self, fh, hasher, check_utf8: bool = False):
+        self._fh, self._hasher = fh, hasher
+        self._decoder = check_utf8 and codecs.getincrementaldecoder("utf-8")()
+        self._slice = memoryview(bytearray(_SLICE))
+        self._rest = self._slice[:0]  # the bytes of the slice not yet read
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if not self._rest:
+            self.next_slice()
+        size = min(len(buffer), len(self._rest))
+        buffer[:size], self._rest = self._rest[:size], self._rest[size:]
+        return size
+
+    def next_slice(self) -> int:
+        """Read the next slice, dropping what the text layer above has not
+        read of this one; its size, 0 at the end of the file."""
+        self._rest = self._slice[:self._fh.readinto(self._slice)]
+        if self._hasher is not None:
+            self._hasher.update(self._rest)
+        if self._decoder:
+            self._decoder.decode(self._rest, final=not self._rest)
+        return len(self._rest)
+
+
+def _rows(raw: _Slices) -> Iterator[list[str]]:
+    """The csv rows of the TSV bytes raw reads, decoded as UTF-8."""
+    return csv.reader(io.TextIOWrapper(raw, encoding="utf-8", newline=""),
+                      dialect="excel-tab")
 
 
 def _column_indices(header: list[str], column_map: ColumnMap
@@ -514,20 +545,16 @@ def load_corpora(manifest_path: str | Path, *, strict: bool = False,
 
 
 def corpus_digest(entry: CorpusEntry, *, check_utf8: bool = True) -> str:
-    """The Corpus.digest load_corpora gives entry's corpus, taken from the
-    bytes of its two TSVs in one pass each, without parsing a row or
-    holding a whole file. Each file fails as loading it would when it
-    cannot be read (FileUnreadable) or when its header lacks a mapped
-    column (MissingColumn). With check_utf8 (the default) the pass also
-    decodes each file, which fails as loading would (FileUnreadable) when
-    it is not UTF-8; without it only the header is decoded, so a caller
-    that already knows these bytes to be UTF-8 skips the whole-file check,
-    and one that does not runs utf8_check(entry) before it trusts them."""
-    hashes = []
-    for path in (entry.train_path, entry.test_path):
-        hashes.append(hashlib.sha256())
-        header = _scan(path, hashes[-1], check_utf8)
-        _column_indices(header, entry.column_map)
+    """The Corpus.digest load_corpora gives entry's corpus, from one pass
+    over each TSV that parses only its header row (see _scan). A file fails
+    as loading it would when it cannot be read (FileUnreadable) or its
+    header lacks a mapped column (MissingColumn), and with check_utf8 (the
+    default) when it is not UTF-8 (FileUnreadable). Without the check only
+    the text read for the header is decoded: a caller that does not know
+    the bytes to be UTF-8 runs utf8_check(entry) before it trusts them."""
+    hashes = [hashlib.sha256(), hashlib.sha256()]
+    for path, hasher in zip((entry.train_path, entry.test_path), hashes):
+        _column_indices(_scan(path, hasher, check_utf8), entry.column_map)
     return _digest(entry.column_map, *hashes)
 
 
@@ -538,44 +565,17 @@ def utf8_check(entry: CorpusEntry) -> None:
         _scan(path, None, True)
 
 
-_SLICE = 1 << 20  # bytes a TSV is read in, so no pass holds a whole file
-
-
 def _scan(path: Path, hasher, check_utf8: bool) -> list[str]:
-    """Read the TSV at path in _SLICE-byte slices, feeding each to hasher
-    (a hashlib object, or None) and, with check_utf8, to an incremental
-    UTF-8 decoder whose text is dropped. Returns its header row as
-    load_corpus reads it (see _whole_header)."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    buffer = memoryview(bytearray(_SLICE))
-    head = bytearray()  # the bytes read until the header row is whole
-    header = None
+    """Read the TSV at path through load_corpus's stack, feeding its bytes
+    to hasher (a hashlib object, or None) and, with check_utf8, to a UTF-8
+    decoder (see _Slices). Returns its header row, the first row that stack
+    gives; the rest of the file is read past the text layer."""
     with _reading(path), open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(buffer):
-            data = buffer[:size]
-            if hasher is not None:
-                hasher.update(data)
-            if check_utf8:
-                decoder.decode(data)
-            if header is None:
-                head += data
-                header = _whole_header(head)
-        decoder.decode(b"", final=True)
-        # a file of one row, or none, ends before a second row begins
-        return next(_tsv_rows(head), []) if header is None else header
-
-
-def _whole_header(head: bytearray) -> list[str] | None:
-    """The first csv row of head once it is whole, or None. Each newline
-    of head is tried in turn as its end: the row ends there if, with a
-    line of its own added after it, csv reads two rows, so no byte of the
-    second row is read. A newline never falls inside a UTF-8 sequence."""
-    end = 0
-    while end := head.find(b"\n", end) + 1:
-        rows = list(islice(_tsv_rows(head[:end] + b"_\n"), 2))
-        if len(rows) == 2:
-            return rows[0]
-    return None
+        raw = _Slices(fh, hasher, check_utf8)
+        header = next(_rows(raw), [])
+        while raw.next_slice():
+            pass
+    return header
 
 
 def _digest(column_map: ColumnMap, train_hash, test_hash) -> str:

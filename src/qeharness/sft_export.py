@@ -10,12 +10,12 @@ hyperparameters ride along as a provenance memo and are never executed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus, Segment, staged_writes, write_json
+from .corpus import Corpus, Segment, staged_writes, write_json, writing
 from .errors import EmptyTrainSplit
 from .prompts import (PromptTemplate, TemplateId, fill_template,
                       render_zero_shot)
@@ -54,8 +54,6 @@ class SftRecord:
     instruction: str
     output: str
     meta: dict  # pair, segment_id, template_version
-    # the instruction's prefix that every record of its pair shares
-    head: str = field(default="", repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"instruction": self.instruction, "output": self.output,
@@ -63,40 +61,20 @@ class SftRecord:
 
 
 def sft_lines(records: Iterable[SftRecord]) -> Iterator[str]:
-    """Each record's line, json.dumps(r.to_dict(), sort_keys=True) + "\\n",
-    for a meta of a string pair, an int segment_id and a string
-    template_version, as build_records makes. Each distinct head is escaped
-    once; the pooled shuffle interleaves the pairs, so the escaped heads
-    are kept by head, not just the last one. An instruction that does not
-    start with its head is escaped whole."""
-    escape = json.encoder.encode_basestring_ascii  # json.dumps' own
-    heads: dict[str, str] = {}
+    """Each record's line: json.dumps(r.to_dict(), sort_keys=True) + "\\n"."""
     for r in records:
-        head = heads.get(r.head)
-        if head is None:
-            head = heads[r.head] = escape(r.head)[:-1]
-        opening, start = ((head, len(r.head))
-                          if r.instruction.startswith(r.head) else ('"', 0))
-        meta = r.meta
-        before, after = _line_end(escape(meta["pair"]),
-                                  escape(meta["template_version"]),
-                                  escape(r.output))
-        yield (f'{{"instruction": {opening}'
-               f'{escape(r.instruction[start:])[1:]}{before}'
-               f'{meta["segment_id"]!r}{after}')
-
-
-def _line_end(pair: str, version: str, output: str) -> tuple[str, str]:
-    """An SFT line's JSON after its instruction, from the JSON-escaped
-    pair, template version and output, split around the segment_id: the
-    "meta" object, then "output", keys in sorted order."""
-    return (f', "meta": {{"pair": {pair}, "segment_id": ',
-            f', "template_version": {version}}}, "output": {output}}}\n')
+        yield json.dumps(r.to_dict(), sort_keys=True) + "\n"
 
 
 def build_records(corpus: Corpus, template: PromptTemplate) -> list[SftRecord]:
-    """Render every train segment into an instruction/answer record."""
-    return list(_records(template, _train(corpus, template)))
+    """Render every train segment into an instruction/answer record, in
+    order, from one render call."""
+    train = _train(corpus, template)
+    return [SftRecord(instruction=prompt.text,
+                      output=f"Score: {seg.da_mean:.1f}",
+                      meta={"pair": prompt.pair, "segment_id": seg.id,
+                            "template_version": template.version})
+            for seg, prompt in zip(train, render_zero_shot(template, train))]
 
 
 def _train(corpus: Corpus, template: PromptTemplate) -> tuple[Segment, ...]:
@@ -106,17 +84,6 @@ def _train(corpus: Corpus, template: PromptTemplate) -> tuple[Segment, ...]:
     if not corpus.train:
         raise EmptyTrainSplit(str(corpus.pair))
     return corpus.train
-
-
-def _records(template: PromptTemplate,
-             segments: Sequence[Segment]) -> Iterator[SftRecord]:
-    """The record of each segment, in order, from one render call."""
-    for seg, prompt in zip(segments, render_zero_shot(template, segments)):
-        yield SftRecord(instruction=prompt.text,
-                        output=f"Score: {seg.da_mean:.1f}",
-                        meta={"pair": prompt.pair, "segment_id": seg.id,
-                              "template_version": template.version},
-                        head=prompt.head)
 
 
 def _shuffled_lines(segments: Sequence[Segment], template: PromptTemplate,
@@ -154,7 +121,11 @@ def _shuffled_lines(segments: Sequence[Segment], template: PromptTemplate,
                 if output is None:
                     output = outputs[score] = escape(
                         f"Score: {seg.da_mean:.1f}")
-                end = ends[score] = _line_end(name, version, output)
+                # the JSON after the instruction, around the segment_id
+                end = ends[score] = (
+                    f', "meta": {{"pair": {name}, "segment_id": ',
+                    f', "template_version": {version}}}, '
+                    f'"output": {output}}}\n')
             before, after = end
             source, translation = seg.source, seg.translation
             if pieces and "{" not in source and "{" not in translation:
@@ -184,7 +155,8 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     hyperparameter memo, and is written alongside.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     if not corpora:
         raise EmptyTrainSplit("*")

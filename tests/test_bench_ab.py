@@ -59,3 +59,36 @@ def test_a_failed_operation_is_flagged():
 def test_seed_ranges():
     assert bench_ab._seeds("151-153") == [151, 152, 153]
     assert bench_ab._seeds("7") == [7]
+
+
+@pytest.mark.parametrize("better,parent,change,worse,unresolved", [
+    # parent median 100 with quartiles 90 and 110: a 20% spread
+    ("higher", [80, 90, 100, 110, 120], [70, 72, 74, 80, 90], True, False),
+    ("higher", [80, 90, 100, 110, 120], [70, 75, 76, 80, 90], False, False),
+    ("lower", [80, 90, 100, 110, 120], [120, 124, 126, 130, 140], True,
+     False),
+    ("lower", [80, 90, 100, 110, 120], [120, 124, 125, 130, 140], False,
+     False),
+    # quartiles 70 and 130: a 60% spread, wider than the bound
+    ("higher", [40, 70, 100, 130, 160], [100, 100, 100, 100, 100], False,
+     True),
+    ("higher", [40, 70, 100, 130, 160], [10, 20, 30, 40, 50], True, True),
+], ids=["higher-worse", "higher-at-bound", "lower-worse", "lower-at-bound",
+        "wide-parent", "wide-parent-worse"])
+def test_bound_flags_of_fixed_pairs(better, parent, change, worse,
+                                    unresolved):
+    pairs = [{"parent": _result(p, 1.0), "change": _result(c, 1.0)}
+             for p, c in zip(parent, change)]
+    summary = bench_ab.summarize(pairs, {"items_per_s": better},
+                                 {"items_per_s": 0.25})
+    assert summary["items_per_s"]["worse_beyond_bound"] is worse
+    assert summary["items_per_s"]["unresolved"] is unresolved
+
+
+def test_a_metric_without_a_bound_has_no_flags():
+    pairs = [{"parent": _result(1.0, 1.0), "change": _result(2.0, 1.0)}]
+    summary = bench_ab.summarize(pairs, {"items_per_s": "higher",
+                                         "setup_s": "lower"},
+                                 {"items_per_s": 0.25})
+    assert "unresolved" in summary["items_per_s"]
+    assert "unresolved" not in summary["setup_s"]

@@ -519,3 +519,36 @@ def test_unwritable_path_is_typed_error(tmp_path, capsys, blocked, resume):
     err = capsys.readouterr().err
     assert f"error[FileUnwritable]: cannot write {path}: " in err
     assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["extract", "score", "fertility",
+                                     "export-sft"])
+def test_out_dir_blocked_by_a_file_is_typed_error(tmp_path, capsys, command):
+    manifest = _run_manifest_file(tmp_path, mock={"policy": "echo-score"})
+    assert main(["run", "--manifest", str(manifest)]) == 0
+    corpora = str(tmp_path / "data" / "corpora.jsonl")
+    (tmp_path / "words.json").write_text(json.dumps({"kind": "word_level"}),
+                                         encoding="utf-8")
+    tokenizers = tmp_path / "tokenizers.jsonl"
+    tokenizers.write_text(json.dumps({"name": "words",
+                                      "definition": "words.json"}) + "\n",
+                          encoding="utf-8")
+    argv = {
+        "extract": ["--outputs", tmp_path / "run" / "outputs"
+                    / f"{_STEM}.jsonl"],
+        "score": ["--manifest", corpora, "--extractions",
+                  tmp_path / "run" / "extractions" / f"{_STEM}.jsonl",
+                  "--pair", "en-gu", "--template", "ag"],
+        "fertility": ["--manifest", corpora, "--tokenizers", tokenizers,
+                      "-k", "5"],
+        "export-sft": ["--manifest", corpora, "--mode", "umt"],
+    }[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where a directory goes\n", encoding="utf-8")
+    capsys.readouterr()
+
+    assert main([command, *map(str, argv), "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert f"error[FileUnwritable]: cannot write {blocker}: " in err
+    assert blocker.read_text(encoding="utf-8") == \
+        "a file where a directory goes\n"

@@ -75,13 +75,12 @@ def test_extraction_lines_equal_sorted_key_json(combos, rows):
                                _JSON_TEXT, _BIG_INT, _JSON_TEXT),
                      max_size=8))
 def test_sft_lines_equal_sorted_key_json(heads, rows):
-    # records of several heads interleaved, as the pooled shuffle leaves
-    # them, and records whose head is empty
+    # instructions of several heads interleaved, as the pooled shuffle
+    # leaves them, and instructions with no head
     heads.append("")
     records = [SftRecord(heads[at % len(heads)] + tail, output,
                          {"pair": pair, "segment_id": segment_id,
-                          "template_version": version},
-                         head=heads[at % len(heads)])
+                          "template_version": version})
                for at, tail, output, pair, segment_id, version in rows]
     assert list(sft_lines(records)) == _oracle(records)
 
@@ -95,11 +94,7 @@ def test_a_head_that_is_not_a_prefix_is_not_trusted(text, other, cut, kind):
     # text: the line is the text escaped whole
     head = {"prefix": text[:cut], "other": other, "empty": "",
             "whole": text}[kind]
-    record = SftRecord(text, "Score: 5.0", {"pair": "en-gu", "segment_id": 1,
-                                            "template_version": "1.0.0"},
-                       head=head)
     prompt = RenderedPrompt(TemplateId.AG, text, (), 1, "en-gu", 0, head=head)
-    assert list(sft_lines([record])) == _oracle([record])
     assert list(prompt_lines([prompt])) == _oracle([prompt])
 
 
@@ -123,11 +118,3 @@ def test_each_shared_part_is_escaped_once(monkeypatch):
     escaped.clear()
     list(extraction_lines(extract_batch(outputs)[0]))
     assert (escaped["en-gu"], escaped["te"], escaped["ag"]) == (2, 1, 1)
-
-    escaped.clear()
-    records = [SftRecord(f"{head} {i}", "Score: 5.0",
-                         {"pair": "en-gu", "segment_id": i,
-                          "template_version": "1"}, head=head)
-               for i, head in enumerate(["first head", "second head"] * 3)]
-    list(sft_lines(records))
-    assert (escaped["first head"], escaped["second head"]) == (1, 1)

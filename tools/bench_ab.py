@@ -18,8 +18,10 @@ change, the command, the method, every run's result line, the machine's
 provenance, and per workload and end-to-end metric of BENCHMARK.json a
 summary: the medians and quartiles (inclusive method) of both sides, the
 number of seeds the change did better on (change_wins), the median change
-in percent, and the parent's interquartile range in percent of its median.
-Standard library only.
+in percent, the parent's interquartile range in percent of its median, and
+two flags against the metric's bound: worse_beyond_bound (the change's
+median is worse by more than the bound) and unresolved (the parent's
+interquartile range is wider than the bound). Standard library only.
 """
 
 from __future__ import annotations
@@ -39,10 +41,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], metrics: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """The summary of one workload's pairs: each pair is {"parent": result,
     "change": result} with perfbench's result lines; metrics maps each
-    metric's name to "higher" or "lower", the better direction."""
+    metric's name to "higher" or "lower", the better direction, and bounds
+    a metric's name to its allowed relative worsening (BENCHMARK.json's
+    bound). A metric with a bound is flagged worse_beyond_bound when the
+    change's median is worse than the parent's by more than the bound, and
+    unresolved when the parent's interquartile range is wider than the
+    bound, as a share of the parent's median."""
     summary = {"pairs": len(pairs),
                "all_correct_no_failures": all(
                    pair[side]["correct"] and pair[side]["failed"] == 0
@@ -64,6 +72,12 @@ def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
             "parent_iqr_pct_of_median": _pct(parent_q[1] - parent_q[0],
                                              parent),
         }
+        if bounds and name in bounds:
+            bound = 100.0 * bounds[name]
+            summary[name]["worse_beyond_bound"] = (
+                -sign * summary[name]["median_change_pct"] > bound)
+            summary[name]["unresolved"] = (
+                summary[name]["parent_iqr_pct_of_median"] > bound)
     return summary
 
 
@@ -162,6 +176,7 @@ def main() -> int:
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     revs = {"parent": _git("rev-parse", "--short", args.parent),
             "change": _git("rev-parse", "--short", args.change)}
     copies = {side: args.work / side for side in SIDES}
@@ -183,7 +198,8 @@ def main() -> int:
             f"start with the parent); seeds {args.seeds[0]}-{args.seeds[-1]} "
             f"for {', '.join(workloads)}; made by tools/bench_ab.py"),
     }
-    doc["summary"] = {w: summarize(runs[w], metrics) for w in workloads}
+    doc["summary"] = {w: summarize(runs[w], metrics, bounds)
+                      for w in workloads}
     doc["runs"] = runs
     if args.traced_seed is not None:
         doc["traced"] = {

@@ -314,6 +314,24 @@ def test_corpus_digest_refuses_what_loading_refuses(tmp_path, data, error):
         load_corpora(manifest)
 
 
+def test_checked_pass_refuses_a_sequence_cut_at_the_end(tmp_path):
+    # the text layer decodes only the chunk the header needs; the rest of a
+    # longer file is checked by one decoder over the slices, which must
+    # still refuse a multi-byte sequence that the end of the file cuts
+    manifest = _data(tmp_path)
+    rows = "".join(f"source {i}\ttranslation {i}\t50\n" for i in range(900))
+    (tmp_path / "data" / "si-en.train.tsv").write_bytes(
+        f"original\ttranslation\tmean\n{rows}".encode() + b"a\t\xe0\xaa")
+    entry = load_corpus_manifest(manifest)[1]
+    for check in (lambda: corpus_digest(entry),
+                  lambda: corpus.utf8_check(entry),
+                  lambda: load_corpora(manifest)):
+        with pytest.raises(FileUnreadable, match="si-en.train.tsv"):
+            check()
+    # unchecked, the pass decodes no more than the header's chunk
+    corpus_digest(entry, check_utf8=False)
+
+
 # -- corpus errors fail fast --------------------------------------------------
 
 def _break_not_utf8(path: Path) -> None:

@@ -8,7 +8,6 @@ z-normalized columns, when present, are ignored.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import hashlib
 import io
@@ -30,7 +29,7 @@ __all__ = [
     "LangPair", "Split", "Segment", "Corpus", "ScoreBin", "SCORE_BINS",
     "ColumnMap", "LoadDiagnostic", "load_corpus", "bin_of", "histogram",
     "CorpusEntry", "load_corpus_manifest", "load_corpora", "corpus_digest",
-    "utf8_check", "EXPECTED_SPLIT_SIZES", "split_size_warnings",
+    "EXPECTED_SPLIT_SIZES", "split_size_warnings",
     "write_lines", "write_json", "staged_writes", "writing", "read_jsonl",
     "read_records", "read_json",
     "Field", "json_fields",
@@ -179,11 +178,12 @@ def load_corpus(path: str | Path, pair: LangPair, split: Split,
     empty, and fields past the header are ignored. With `hasher` given (a
     hashlib object), the file's bytes are fed to it as they are read. A
     file that cannot be read, is not UTF-8 or holds a field longer than
-    csv.field_size_limit() raises FileUnreadable naming it.
+    csv.field_size_limit() raises FileUnreadable naming it, and a header
+    without a mapped column MissingColumn naming it.
     """
     with _reading(path), open(path, "rb", buffering=0) as fh:
         return _segments(_rows(_Slices(fh, hasher)), pair, split,
-                         column_map or ColumnMap(), strict, diagnostics)
+                         column_map or ColumnMap(), strict, diagnostics, path)
 
 
 @contextmanager
@@ -201,12 +201,10 @@ _SLICE = 1 << 20  # bytes a TSV is read in, so no pass holds a whole file
 
 class _Slices(io.RawIOBase):
     """The binary file fh, read _SLICE bytes at a time, each slice fed as
-    it is read to hasher (a hashlib object, or None) and, with check_utf8,
-    to a UTF-8 decoder whose text is dropped."""
+    it is read to hasher (a hashlib object, or None)."""
 
-    def __init__(self, fh, hasher, check_utf8: bool = False):
+    def __init__(self, fh, hasher):
         self._fh, self._hasher = fh, hasher
-        self._decoder = check_utf8 and codecs.getincrementaldecoder("utf-8")()
         self._slice = memoryview(bytearray(_SLICE))
         self._rest = self._slice[:0]  # the bytes of the slice not yet read
 
@@ -226,8 +224,6 @@ class _Slices(io.RawIOBase):
         self._rest = self._slice[:self._fh.readinto(self._slice)]
         if self._hasher is not None:
             self._hasher.update(self._rest)
-        if self._decoder:
-            self._decoder.decode(self._rest, final=not self._rest)
         return len(self._rest)
 
 
@@ -237,24 +233,26 @@ def _rows(raw: _Slices) -> Iterator[list[str]]:
                       dialect="excel-tab")
 
 
-def _column_indices(header: list[str], column_map: ColumnMap
-                    ) -> tuple[int, int, int]:
-    """Where the header puts the source, translation and score columns; a
-    column it lacks raises MissingColumn. Of two columns with one name, the
-    later one is read."""
+def _column_indices(header: list[str], column_map: ColumnMap,
+                    path: str | Path) -> tuple[int, int, int]:
+    """Where the header of the TSV at path puts the source, translation and
+    score columns; a column it lacks raises MissingColumn naming the file.
+    Of two columns with one name, the later one is read."""
     index = {name: i for i, name in enumerate(header)}
     for col in (column_map.source, column_map.translation, column_map.score):
         if col not in index:
-            raise MissingColumn(col)
+            raise MissingColumn(col, path)
     return (index[column_map.source], index[column_map.translation],
             index[column_map.score])
 
 
 def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
               column_map: ColumnMap, strict: bool,
-              diagnostics: list[LoadDiagnostic] | None) -> list[Segment]:
-    """load_corpus's reading of csv rows, the first of them the header."""
-    src_at, mt_at, score_at = _column_indices(next(rows, []), column_map)
+              diagnostics: list[LoadDiagnostic] | None,
+              path: str | Path) -> list[Segment]:
+    """load_corpus's reading of the csv rows of path, header first."""
+    src_at, mt_at, score_at = _column_indices(next(rows, []), column_map,
+                                              path)
     width = max(src_at, mt_at, score_at) + 1
 
     segments: list[Segment] = []
@@ -544,34 +542,25 @@ def load_corpora(manifest_path: str | Path, *, strict: bool = False,
     return corpora
 
 
-def corpus_digest(entry: CorpusEntry, *, check_utf8: bool = True) -> str:
+def corpus_digest(entry: CorpusEntry) -> str:
     """The Corpus.digest load_corpora gives entry's corpus, from one pass
-    over each TSV that parses only its header row (see _scan). A file fails
-    as loading it would when it cannot be read (FileUnreadable) or its
-    header lacks a mapped column (MissingColumn), and with check_utf8 (the
-    default) when it is not UTF-8 (FileUnreadable). Without the check only
-    the text read for the header is decoded: a caller that does not know
-    the bytes to be UTF-8 runs utf8_check(entry) before it trusts them."""
+    over each TSV that decodes only the text its header row needs (see
+    _scan). A file fails as loading it would when it cannot be read or
+    that text is not UTF-8 (FileUnreadable), or its header lacks a mapped
+    column (MissingColumn); bytes past that text are hashed, not decoded."""
     hashes = [hashlib.sha256(), hashlib.sha256()]
     for path, hasher in zip((entry.train_path, entry.test_path), hashes):
-        _column_indices(_scan(path, hasher, check_utf8), entry.column_map)
+        _column_indices(_scan(path, hasher), entry.column_map, path)
     return _digest(entry.column_map, *hashes)
 
 
-def utf8_check(entry: CorpusEntry) -> None:
-    """Raise FileUnreadable naming the first of entry's two TSVs that is
-    not UTF-8 (or cannot be read), as loading it would."""
-    for path in (entry.train_path, entry.test_path):
-        _scan(path, None, True)
-
-
-def _scan(path: Path, hasher, check_utf8: bool) -> list[str]:
+def _scan(path: Path, hasher) -> list[str]:
     """Read the TSV at path through load_corpus's stack, feeding its bytes
-    to hasher (a hashlib object, or None) and, with check_utf8, to a UTF-8
-    decoder (see _Slices). Returns its header row, the first row that stack
-    gives; the rest of the file is read past the text layer."""
+    to hasher (a hashlib object). Returns its header row, the first row
+    that stack gives, whose text layer decodes a first chunk of 8 KiB, or
+    more for a longer header row; the rest of the file is read past it."""
     with _reading(path), open(path, "rb", buffering=0) as fh:
-        raw = _Slices(fh, hasher, check_utf8)
+        raw = _Slices(fh, hasher)
         header = next(_rows(raw), [])
         while raw.next_slice():
             pass

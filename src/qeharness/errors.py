@@ -22,8 +22,9 @@ class FileUnwritable(HarnessError):
 
 
 class MissingColumn(HarnessError):
-    def __init__(self, name: str):
-        super().__init__(f"required column missing: {name!r}")
+    def __init__(self, name: str, path=None):  # path: the TSV, if known
+        super().__init__(f"required column missing: {name!r}"
+                         + ("" if path is None else f" in {path}"))
         self.name = name
 
 

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 from .corpus import (Corpus, CorpusEntry, Field, corpus_digest, json_fields,
                      load_corpora, load_corpus_manifest, read_json,
-                     read_records, split_size_warnings, utf8_check,
-                     write_json, write_lines, writing)
+                     read_records, split_size_warnings, write_json,
+                     write_lines, writing)
 from .errors import (EndpointMissing, FileUnreadable, ManifestError,
                      HarnessError)
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
@@ -195,13 +195,16 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     written: no templates, a bad corpus-manifest record or a listed pair it
     lacks (load_corpus_manifest), or unusable inference settings, mock spec
     or endpoint URL raise ManifestError; a corpus manifest or listed TSV
-    that cannot be read, or a TSV that is not UTF-8 (checked only for a
-    pair with a combo that no marker vouches for), raises FileUnreadable;
-    a TSV header that lacks a mapped column raises MissingColumn. These
-    checks read each TSV's bytes and header only, in slices. A pair's rows
-    are parsed just before its first combo that is not skipped, so what
-    only parsing finds (see _load_pair) raises there; the combos that
-    finished before it keep their markers and stay resumable. Malformed
+    that cannot be read, or whose first text chunk (8 KiB, more for a
+    longer header row) is not UTF-8, raises FileUnreadable; a TSV header
+    that lacks a mapped column raises MissingColumn. These checks hash each
+    TSV in slices and decode only that chunk. A pair's rows are parsed, and
+    its TSVs decoded whole, just before its first combo that is not
+    skipped, so what only parsing finds (see _load_pair), non-UTF-8 bytes
+    past the first chunk too, raises there, naming the file; the combos
+    that finished before it keep their markers and stay resumable. A pair
+    that markers vouch for needs no check: a marker is written only after
+    _load_pair has parsed, so decoded, bytes with its digest. Malformed
     rows are skipped and named in log.txt. Per-item inference failures are
     recorded in the outputs and ledger without aborting. A file or run
     subdirectory, or log.txt, that cannot be written raises FileUnwritable
@@ -217,9 +220,8 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     marker, or one naming another fingerprint, reuses none. Each pair is
     planned as soon as its TSVs are hashed (_plan_pair): only the combos
     whose marker names their fingerprint have their artifacts hashed, on a
-    pool of one thread per CPU, while the next pair's TSVs are hashed, and
-    only a pair with a combo no marker vouches for has its TSVs checked as
-    UTF-8. The pool's threads end before run returns or raises.
+    pool of one thread per CPU, while the next pair's TSVs are hashed. The
+    pool's threads end before run returns or raises.
     """
     if not manifest.templates:
         raise ManifestError("manifest lists no templates")
@@ -293,10 +295,11 @@ def _load_pair(manifest: RunManifest, entry: CorpusEntry, digest: str,
                backend, policy) -> tuple[Corpus, object]:
     """entry's corpus, parsed, and the backend its combos dispatch to: the
     run's own, or a mock over this pair's gold scores. Logs the corpus's
-    split-size and skipped-row notes. A field longer than
-    csv.field_size_limit(), or a corpus whose digest is no longer the one
-    the run fingerprinted, raises FileUnreadable; a pair the corpus
-    manifest no longer lists raises load_corpora's ManifestError."""
+    split-size and skipped-row notes. A TSV that is not UTF-8 or holds a
+    field longer than csv.field_size_limit(), or a corpus whose digest is
+    no longer the one the run fingerprinted, raises FileUnreadable; a pair
+    the corpus manifest no longer lists raises load_corpora's
+    ManifestError."""
     (corpus,) = load_corpora(manifest.corpora_manifest,
                              pairs=[str(entry.pair)])
     if corpus.digest != digest:
@@ -366,22 +369,14 @@ def _plan_pair(manifest: RunManifest, entry: CorpusEntry, templates: dict,
     the artifacts of each combo whose marker names its fingerprint are
     submitted to pool for hashing, while the next pair's TSVs are hashed.
     A template listed twice shares one marker: only its first combo's
-    artifacts are submitted, and the second hashes what the first left.
-
-    The whole-file UTF-8 check of the TSVs runs only for a pair with a
-    combo that no marker vouches for: _run_combo writes a marker only after
-    _load_pair has parsed, so decoded, bytes with this digest. It runs in
-    the digest pass when some combo has no marker (a fresh run: one pass
-    per TSV), and in a second pass (utf8_check) when the markers name other
-    fingerprints, which only the digest shows."""
+    artifacts are submitted, and the second hashes what the first left."""
     out = Path(manifest.out_dir)
     pair = str(entry.pair)
     paths = [_combo_paths(out, pair, templates[tid], base_cfg.model_name,
                           manifest.seed) for tid in manifest.templates]
     recorded = [_read_marker(marker).get("fingerprint") if manifest.resume
                 else None for _, marker in paths]
-    marked = None not in recorded
-    digest = corpus_digest(entry, check_utf8=not marked)
+    digest = corpus_digest(entry)
     combos = []
     for tid, (artifacts, marker), fingerprint in zip(manifest.templates,
                                                      paths, recorded):
@@ -393,8 +388,6 @@ def _plan_pair(manifest: RunManifest, entry: CorpusEntry, templates: dict,
                    and all(c.marker != marker for c in combos) else None)
         combos.append(_Combo(tid, templates[tid], cfg, ours, artifacts,
                              marker, prehash))
-    if marked and any(c.fingerprint != f for c, f in zip(combos, recorded)):
-        utf8_check(entry)
     return digest, combos
 
 

@@ -92,3 +92,59 @@ def test_a_metric_without_a_bound_has_no_flags():
                                  {"items_per_s": 0.25})
     assert "unresolved" in summary["items_per_s"]
     assert "unresolved" not in summary["setup_s"]
+
+
+# ten pairs of items_per_s around a parent median of 100 with quartiles
+# 95.5 and 104.5: an interquartile distance of 9
+TEN_PARENTS = [91, 93, 95, 97, 99, 101, 103, 105, 107, 109]
+
+
+@pytest.mark.parametrize("better,change,met", [
+    # 9 wins of 10 and a median 20 better
+    ("higher", [p + 20 for p in TEN_PARENTS[:9]] + [80], True),
+    # 8 wins, 2 ties: ties count for neither side
+    ("higher", [p + 20 for p in TEN_PARENTS[:8]] + TEN_PARENTS[8:], False),
+    # 9 wins and 1 tie
+    ("higher", [p + 20 for p in TEN_PARENTS[:9]] + TEN_PARENTS[9:], True),
+    # 10 wins, but the medians differ by 5, less than the parent's 9
+    ("higher", [p + 5 for p in TEN_PARENTS], False),
+    # 10 wins by 9.5: the medians differ by more than 9
+    ("higher", [p + 9.5 for p in TEN_PARENTS], True),
+    # lower is better: 10 wins by 20 downwards, and the same rise
+    ("lower", [p - 20 for p in TEN_PARENTS], True),
+    ("lower", [p + 20 for p in TEN_PARENTS], False),
+], ids=["9-wins", "8-wins-2-ties", "9-wins-1-tie", "within-spread",
+        "beyond-spread", "lower-better", "lower-worse"])
+def test_gain_met_of_fixed_pairs(better, change, met):
+    pairs = [{"parent": _result(p, 1.0), "change": _result(c, 1.0)}
+             for p, c in zip(TEN_PARENTS, change)]
+    summary = bench_ab.summarize(pairs, {"items_per_s": better},
+                                 {"items_per_s": 0.25})
+    assert summary["items_per_s"]["parent_quartiles"] == [95.5, 104.5]
+    assert summary["items_per_s"]["gain_met"] is met
+
+
+def test_fewer_than_ten_pairs_meet_no_gain():
+    pairs = [{"parent": _result(p, 1.0), "change": _result(p + 50, 1.0)}
+             for p in TEN_PARENTS[:9]]
+    summary = bench_ab.summarize(pairs, {"items_per_s": "higher"})
+    assert summary["items_per_s"]["change_wins"] == 9
+    assert summary["items_per_s"]["gain_met"] is False
+
+
+@pytest.mark.parametrize("better,change,unresolved", [
+    # quartiles 70 and 130: a 60% spread, wider than the bound
+    ("higher", [161, 170, 180, 190, 200], False),
+    ("higher", [160, 170, 180, 190, 200], True),  # a tie with the best
+    ("lower", [10, 20, 30, 35, 39], False),
+    ("lower", [10, 20, 30, 35, 41], True),  # worse than the best parent
+], ids=["higher-above-all", "higher-tie", "lower-below-all",
+        "lower-overlap"])
+def test_a_change_better_than_every_parent_run_is_resolved(better, change,
+                                                           unresolved):
+    pairs = [{"parent": _result(p, 1.0), "change": _result(c, 1.0)}
+             for p, c in zip([40, 70, 100, 130, 160], change)]
+    summary = bench_ab.summarize(pairs, {"items_per_s": better},
+                                 {"items_per_s": 0.25})
+    assert summary["items_per_s"]["parent_iqr_pct_of_median"] > 25
+    assert summary["items_per_s"]["unresolved"] is unresolved

@@ -67,14 +67,13 @@ def parsed(monkeypatch):
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """Each pass over a TSV the digest pass and utf8_check make, in order:
-    the file's name and whether the pass checked it as UTF-8."""
+    """The name of each TSV the digest pass reads, in order."""
     passes = []
     scan = corpus._scan
 
-    def recording(path, hasher, check_utf8):
-        passes.append((Path(path).name, check_utf8))
-        return scan(path, hasher, check_utf8)
+    def recording(path, hasher):
+        passes.append(Path(path).name)
+        return scan(path, hasher)
 
     monkeypatch.setattr(corpus, "_scan", recording)
     return passes
@@ -168,7 +167,7 @@ def test_fresh_run_reads_each_tsv_once_up_front(tmp_path, scanned, resume):
     manifest = RunManifest.from_dict({**_manifest_doc(tmp_path),
                                       "resume": resume})
     run(manifest)
-    assert scanned == [(name, True) for name in TSVS]
+    assert scanned == TSVS
 
 
 def test_noop_resume_checks_no_tsv_as_utf8(tmp_path, scanned):
@@ -177,7 +176,7 @@ def test_noop_resume_checks_no_tsv_as_utf8(tmp_path, scanned):
     run(manifest)
     scanned.clear()
     assert run(manifest).inference_calls == 0
-    assert scanned == [(name, False) for name in TSVS]
+    assert scanned == TSVS
 
 
 def test_resume_with_one_deleted_marker_checks_only_its_pair(tmp_path,
@@ -188,7 +187,7 @@ def test_resume_with_one_deleted_marker_checks_only_its_pair(tmp_path,
     next((tmp_path / "run" / "fingerprints").glob("si-en__ag__*")).unlink()
     scanned.clear()
     assert run(manifest).inference_calls == PAIRS["si-en"]
-    assert scanned == [(name, name.startswith("si-en")) for name in TSVS]
+    assert scanned == TSVS
 
 
 def test_resume_under_another_setting_checks_in_a_second_pass(tmp_path,
@@ -199,9 +198,8 @@ def test_resume_under_another_setting_checks_in_a_second_pass(tmp_path,
     doc["inference"] = {**doc["inference"], "temperature": 0.85}
     again = run(RunManifest.from_dict(doc))
     assert again.inference_calls == sum(PAIRS.values()) * len(TEMPLATES)
-    # only the digest shows that the markers name other fingerprints
-    assert scanned == [(name, check) for pair in PAIRS for check in (False, True)
-                       for name in TSVS if name.startswith(pair)]
+    # no second pass: parsing each pair is its UTF-8 check
+    assert scanned == TSVS
 
 
 def test_vouched_pair_with_a_changed_artifact_is_parsed(tmp_path, scanned,
@@ -213,7 +211,7 @@ def test_vouched_pair_with_a_changed_artifact_is_parsed(tmp_path, scanned,
     scanned.clear()
     parsed.update(pairs=[], gold=0)
     assert run(manifest).inference_calls == 0
-    assert scanned == [(name, False) for name in TSVS]
+    assert scanned == TSVS
     # _load_pair decodes what the marker vouched for
     assert parsed["pairs"] == [["en-gu"]]
 
@@ -268,29 +266,25 @@ def test_sliced_digest_agrees_with_the_whole_file(tmp_path_factory, before,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus, "_SLICE", slice_size)
-        checked = outcome(lambda: corpus_digest(entry))
-        unchecked = outcome(lambda: corpus_digest(entry, check_utf8=False))
-        utf8 = outcome(lambda: corpus.utf8_check(entry))
+        got = outcome(lambda: corpus_digest(entry))
     digest = corpus._digest(entry.column_map, hashlib.sha256(data),
                             hashlib.sha256(entry.test_path.read_bytes()))
     try:
         data.decode("utf-8")
     except UnicodeDecodeError:
-        assert checked is utf8 is FileUnreadable
-        # unchecked, only the header is decoded
-        assert unchecked in (FileUnreadable, MissingColumn, digest)
+        # only the text the header needs is decoded
+        assert got in (FileUnreadable, MissingColumn, digest)
         return
-    assert utf8 is None
     # the whole-file reading the slices replace
     header = outcome(lambda: next(csv.reader(io.TextIOWrapper(
         io.BytesIO(data), encoding="utf-8", newline=""),
         dialect="excel-tab"), []))
-    expected = outcome(lambda: corpus._column_indices(header,
-                                                      entry.column_map))
+    expected = outcome(lambda: corpus._column_indices(
+        header, entry.column_map, entry.train_path))
     if expected is MissingColumn:
-        assert checked is unchecked is MissingColumn
+        assert got is MissingColumn
         return
-    assert checked == unchecked == digest == load_corpora(manifest)[0].digest
+    assert got == digest == load_corpora(manifest)[0].digest
 
 def test_corpus_digest_is_the_loaded_digest(tmp_path):
     manifest = _data(tmp_path)
@@ -315,21 +309,20 @@ def test_corpus_digest_refuses_what_loading_refuses(tmp_path, data, error):
 
 
 def test_checked_pass_refuses_a_sequence_cut_at_the_end(tmp_path):
-    # the text layer decodes only the chunk the header needs; the rest of a
-    # longer file is checked by one decoder over the slices, which must
-    # still refuse a multi-byte sequence that the end of the file cuts
+    # the digest pass decodes only the chunk the header needs; parsing
+    # decodes the rest of a longer file and must still refuse a multi-byte
+    # sequence that the end of the file cuts
     manifest = _data(tmp_path)
     rows = "".join(f"source {i}\ttranslation {i}\t50\n" for i in range(900))
-    (tmp_path / "data" / "si-en.train.tsv").write_bytes(
+    train = tmp_path / "data" / "si-en.train.tsv"
+    train.write_bytes(
         f"original\ttranslation\tmean\n{rows}".encode() + b"a\t\xe0\xaa")
     entry = load_corpus_manifest(manifest)[1]
-    for check in (lambda: corpus_digest(entry),
-                  lambda: corpus.utf8_check(entry),
-                  lambda: load_corpora(manifest)):
-        with pytest.raises(FileUnreadable, match="si-en.train.tsv"):
-            check()
-    # unchecked, the pass decodes no more than the header's chunk
-    corpus_digest(entry, check_utf8=False)
+    with pytest.raises(FileUnreadable, match="si-en.train.tsv"):
+        load_corpora(manifest)
+    assert corpus_digest(entry) == corpus._digest(
+        entry.column_map, hashlib.sha256(train.read_bytes()),
+        hashlib.sha256(entry.test_path.read_bytes()))
 
 
 # -- corpus errors fail fast --------------------------------------------------
@@ -373,6 +366,23 @@ def test_bad_last_pair_fails_before_anything_is_written(tmp_path, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_missing_column_names_its_tsv(tmp_path, capsys, command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_manifest_doc(tmp_path)), encoding="utf-8")
+    corpora = tmp_path / "data" / "corpora.jsonl"
+    tsv = tmp_path / "data" / "si-en.train.tsv"
+    _break_drop_mean(tsv)
+    manifest = path if command == "run" else corpora
+    assert main([command, "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert f"error[MissingColumn]: required column missing: 'mean' in {tsv}\n" \
+        in err
+    with pytest.raises(MissingColumn) as exc:
+        load_corpora(corpora)
+    assert exc.value.name == "mean"
+
+
 # -- an over-long field -------------------------------------------------------
 
 def _lengthen_a_field(path: Path) -> None:
@@ -410,3 +420,34 @@ def test_run_over_long_field_is_unreadable_and_earlier_pairs_resume(
     log = (tmp_path / "run" / "log.txt").read_text(encoding="utf-8")
     resumed = log.split("run start")[-1]
     assert all(f"en-gu/{tid}: skipped" in resumed for tid in TEMPLATES)
+
+
+# -- bytes past the digest pass's first chunk ---------------------------------
+
+def test_not_utf8_past_the_first_chunk_fails_at_its_pair_and_resumes(
+        tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_manifest_doc(tmp_path)), encoding="utf-8")
+    tsv = tmp_path / "data" / "si-en.train.tsv"
+    original = tsv.read_bytes()
+    padding = "".join(f"padding source {i}\tpadding translation {i}\t50\n"
+                      for i in range(400)).encode()
+    tsv.write_bytes(original + padding + b"a\t\xff\t50\n")
+    assert tsv.read_bytes().index(b"\xff") > 2 * 8192
+    assert main(["run", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error[FileUnreadable]: cannot read {tsv}: 'utf-8' codec" in err
+    log = (tmp_path / "run" / "log.txt").read_text(encoding="utf-8")
+    assert all(f"en-gu/{tid}: {PAIRS['en-gu']} dispatched" in log
+               for tid in TEMPLATES)
+
+    # en-gu's combos finished before si-en was parsed, and stay finished
+    tsv.write_bytes(original)
+    assert main(["run", "--manifest", str(path), "--resume"]) == 0
+    printed = capsys.readouterr().out
+    assert f"inference calls: {PAIRS['si-en'] * len(TEMPLATES)}" in printed
+    log = (tmp_path / "run" / "log.txt").read_text(encoding="utf-8")
+    resumed = log.split("run start")[-1]
+    assert all(f"en-gu/{tid}: skipped" in resumed for tid in TEMPLATES)
+    assert all(f"si-en/{tid}: {PAIRS['si-en']} dispatched" in resumed
+               for tid in TEMPLATES)

@@ -3,7 +3,8 @@ pairs x two templates, a garbage mock). A run killed just before or just
 after any of its file moves resumes to the bytes of an uninterrupted run
 and leaves no temp file. A finished run with any one of its files damaged
 either resumes to those bytes or exits 1 with a typed error naming the
-file; a traceback is a failure. One exception is pinned elsewhere
+file; a traceback is a failure, and so is it when one of the run's corpus
+TSVs is damaged instead. One exception is pinned elsewhere
 (test_resume's test_changed_artifact_takes_the_full_path): an outputs file
 that a damage leaves parseable is reused under its marker's fingerprint, so
 its combo resumes to the damaged outputs (see _reuses_damaged_outputs)."""
@@ -211,6 +212,29 @@ def test_a_damaged_file_resumes_or_is_named(clean, damage):
                                 f"{changed}")
         elif not (code == 1 and err.startswith("error[")
                   and str(out / name) in err):
+            failures.append(f"{name}: exit {code}: {err}")
+        shutil.rmtree(base)
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_a_damaged_tsv_resumes_or_is_named(clean, damage):
+    failures = []
+    tsvs = sorted(p.name for p in (clean.base / "data").glob("*.tsv"))
+    assert len(tsvs) == 2 * len(PAIRS)
+    for name in tsvs:
+        base = Path(tempfile.mkdtemp(dir=clean.base))
+        shutil.copytree(clean.base / "data", base / "data")
+        shutil.copytree(clean.base / "clean", base / "run")
+        manifest = base / "run.json"
+        manifest.write_text(json.dumps({
+            **json.loads(clean.manifest.read_text(encoding="utf-8")),
+            "corpora_manifest": str(base / "data" / "corpora.jsonl"),
+            "out_dir": str(base / "run")}), encoding="utf-8")
+        DAMAGES[damage](base / "data" / name)
+        code, err = _cli("run", "--manifest", manifest, "--resume")
+        if not (code == 0 or code == 1 and err.startswith("error[")
+                and str(base / "data" / name) in err):
             failures.append(f"{name}: exit {code}: {err}")
         shutil.rmtree(base)
     assert not failures, "\n".join(failures)

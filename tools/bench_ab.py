@@ -18,10 +18,14 @@ change, the command, the method, every run's result line, the machine's
 provenance, and per workload and end-to-end metric of BENCHMARK.json a
 summary: the medians and quartiles (inclusive method) of both sides, the
 number of seeds the change did better on (change_wins), the median change
-in percent, the parent's interquartile range in percent of its median, and
-two flags against the metric's bound: worse_beyond_bound (the change's
-median is worse by more than the bound) and unresolved (the parent's
-interquartile range is wider than the bound). Standard library only.
+in percent, the parent's interquartile range in percent of its median,
+gain_met (at least 10 seeds, the change did better on at least 9 in 10 of
+them, and its median is better than the parent's by more than the parent's
+interquartile distance: the rule a claimed gain must meet), and two flags
+against the metric's bound: worse_beyond_bound (the change's median is
+worse by more than the bound) and unresolved (the parent's interquartile
+range is wider than the bound, unless every change run did better than
+every parent run). Standard library only.
 """
 
 from __future__ import annotations
@@ -47,10 +51,15 @@ def summarize(pairs: list[dict], metrics: dict[str, str],
     "change": result} with perfbench's result lines; metrics maps each
     metric's name to "higher" or "lower", the better direction, and bounds
     a metric's name to its allowed relative worsening (BENCHMARK.json's
-    bound). A metric with a bound is flagged worse_beyond_bound when the
-    change's median is worse than the parent's by more than the bound, and
+    bound). gain_met holds when there are at least 10 pairs, the change did
+    better on at least 9 in 10 of them (a tie counts for neither side),
+    and its median is better than
+    the parent's by more than the parent's interquartile distance. A
+    metric with a bound is flagged worse_beyond_bound when the change's
+    median is worse than the parent's by more than the bound, and
     unresolved when the parent's interquartile range is wider than the
-    bound, as a share of the parent's median."""
+    bound, as a share of the parent's median, and some change run did no
+    better than some parent run."""
     summary = {"pairs": len(pairs),
                "all_correct_no_failures": all(
                    pair[side]["correct"] and pair[side]["failed"] == 0
@@ -61,23 +70,30 @@ def summarize(pairs: list[dict], metrics: dict[str, str],
         parent, change = median(values["parent"]), median(values["change"])
         parent_q = _quartiles(values["parent"])
         sign = 1 if better == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in
+                   zip(values["parent"], values["change"]))
         summary[name] = {
             "parent_median": parent,
             "parent_quartiles": parent_q,
             "change_median": change,
             "change_quartiles": _quartiles(values["change"]),
-            "change_wins": sum(sign * (c - p) > 0 for p, c in
-                               zip(values["parent"], values["change"])),
+            "change_wins": wins,
             "median_change_pct": _pct(change - parent, parent),
             "parent_iqr_pct_of_median": _pct(parent_q[1] - parent_q[0],
                                              parent),
+            "gain_met": (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                         and sign * (change - parent)
+                         > parent_q[1] - parent_q[0]),
         }
         if bounds and name in bounds:
             bound = 100.0 * bounds[name]
+            separated = all(sign * (c - p) > 0 for p in values["parent"]
+                            for c in values["change"])
             summary[name]["worse_beyond_bound"] = (
                 -sign * summary[name]["median_change_pct"] > bound)
             summary[name]["unresolved"] = (
-                summary[name]["parent_iqr_pct_of_median"] > bound)
+                summary[name]["parent_iqr_pct_of_median"] > bound
+                and not separated)
     return summary
 
 

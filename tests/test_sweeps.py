@@ -3,8 +3,8 @@ pairs x two templates, a garbage mock). A run killed just before or just
 after any of its file moves resumes to the bytes of an uninterrupted run
 and leaves no temp file. A finished run with any one of its files damaged
 either resumes to those bytes or exits 1 with a typed error naming the
-file; a traceback is a failure, and so is it when one of the run's corpus
-TSVs is damaged instead. One exception is pinned elsewhere
+file; a traceback is a failure. The same holds when one of the run's
+corpus TSVs is damaged instead. One exception is pinned elsewhere
 (test_resume's test_changed_artifact_takes_the_full_path): an outputs file
 that a damage leaves parseable is reused under its marker's fingerprint, so
 its combo resumes to the damaged outputs (see _reuses_damaged_outputs)."""

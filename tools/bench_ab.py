@@ -53,13 +53,12 @@ def summarize(pairs: list[dict], metrics: dict[str, str],
     a metric's name to its allowed relative worsening (BENCHMARK.json's
     bound). gain_met holds when there are at least 10 pairs, the change did
     better on at least 9 in 10 of them (a tie counts for neither side),
-    and its median is better than
-    the parent's by more than the parent's interquartile distance. A
-    metric with a bound is flagged worse_beyond_bound when the change's
-    median is worse than the parent's by more than the bound, and
-    unresolved when the parent's interquartile range is wider than the
-    bound, as a share of the parent's median, and some change run did no
-    better than some parent run."""
+    and its median is better than the parent's by more than the parent's
+    interquartile distance. A metric with a bound is flagged
+    worse_beyond_bound when the change's median is worse than the parent's
+    by more than the bound, and unresolved when the parent's interquartile
+    range is wider than the bound, as a share of the parent's median, and
+    some change run did no better than some parent run."""
     summary = {"pairs": len(pairs),
                "all_correct_no_failures": all(
                    pair[side]["correct"] and pair[side]["failed"] == 0

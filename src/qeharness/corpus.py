@@ -256,6 +256,7 @@ def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
     width = max(src_at, mt_at, score_at) + 1
 
     segments: list[Segment] = []
+    new = object.__new__
     row_idx = 0
     for row in rows:
         if not row:
@@ -276,8 +277,13 @@ def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
                 reason = "BadNumber"
             else:
                 if 0.0 <= score <= 100.0:
-                    segments.append(Segment(row_idx, source, translation,
-                                            score, pair, split))
+                    # the row passed Segment.__post_init__'s checks above,
+                    # so the segment is built without running them again
+                    segment = new(Segment)
+                    segment.__dict__.update(
+                        id=row_idx, source=source, translation=translation,
+                        da_mean=score, pair=pair, split=split)
+                    segments.append(segment)
                     continue
                 reason = "OutOfRange"
         if strict:

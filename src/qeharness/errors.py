@@ -6,9 +6,17 @@ the CLI can render a one-line typed summary and exit nonzero.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class HarnessError(Exception):
-    """Base class for all harness errors."""
+    """Base class for all harness errors. An instance pickles with its type,
+    message and attributes, so it crosses a process boundary unchanged."""
+
+    def __reduce__(self):
+        # a subclass's __init__ may not take its message back, so the copy
+        # is made without calling it
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # -- corpus ----------------------------------------------------------------
@@ -112,3 +120,7 @@ class EmptyTrainSplit(HarnessError):
 
 class ManifestError(HarnessError):
     pass
+
+
+class ChildFailed(HarnessError):
+    """A child process running a pair's combos exited without an outcome."""

@@ -15,20 +15,27 @@ import hashlib
 import json
 import logging
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager, nullcontext
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
+from logging.handlers import QueueHandler
 from pathlib import Path
+from queue import SimpleQueue
 from typing import NamedTuple
 
 from .corpus import (Corpus, CorpusEntry, Field, corpus_digest, json_fields,
                      load_corpora, load_corpus_manifest, read_json,
                      read_records, split_size_warnings, write_json,
                      write_lines, writing)
-from .errors import (EndpointMissing, FileUnreadable, ManifestError,
-                     HarnessError)
+from .errors import (ChildFailed, EndpointMissing, FileUnreadable,
+                     ManifestError, HarnessError)
 from .extraction import (ExclusionLedger, ExtractionResult, extract_batch,
                          extraction_lines, untrustworthy)
 from .gateway import (EchoScore, Fail, Fixed, Garbage, HttpBackend,
@@ -222,6 +229,28 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     whose marker names their fingerprint have their artifacts hashed, on a
     pool of one thread per CPU, while the next pair's TSVs are hashed. The
     pool's threads end before run returns or raises.
+
+    Pairs run side by side in child processes when run builds its backend
+    per pair (a mock policy, no backend passed in), the process may use at
+    least two CPUs (its affinity mask), and at least two pairs, holding
+    more than _CHILD_BREAK_EVEN (6 MB) of TSV between them, have a combo
+    whose marker does not name its fingerprint. The threshold is where two
+    children pay for a start: a child starts in about 0.17 s and a
+    6-template mock run gets through about 18 MB of TSV per second, so the
+    work must outlast 2 x 0.17 s. Each such pair's combos then run, from
+    parse to marker, in one of min(CPUs, pairs) fresh interpreters started from
+    sys.executable with this package first on their path, handed out
+    largest pair first; the caller's __main__ is never imported. The other
+    pairs, an HTTP run, and a run given a backend, which shares one
+    in-flight budget, run in this process. Here the plan, the skip checks,
+    log.txt and summary.json are made, and each pair's results and log
+    records are taken in manifest order, so the files and the RunResult
+    are the ones one process makes. Once a pair fails, no pair starts, and
+    the first failed pair in manifest order raises its error; a child that
+    exits without an outcome raises ChildFailed naming the pair and its
+    exit status. An interrupt, or any error, stops the children with
+    SIGTERM, which undoes their staged writes. No child outlives run, nor
+    does a temp file a killed child left.
     """
     if not manifest.templates:
         raise ManifestError("manifest lists no templates")
@@ -261,22 +290,34 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         errors: dict = {}
         dispatched_total = 0
 
-        with _run_log(out / "log.txt"):
+        jobs = {index: (manifest, *_resolved(*plans[index]), None, policy)
+                for index in _child_pairs(plans, backend)}
+        with _run_log(out / "log.txt"), _children(jobs, out) as children:
             log.info("run start: %d pairs, %d templates", len(plans),
                      len(manifest.templates))
-            for entry, digest, pair_combos in plans:
-                load = cache(partial(_load_pair, manifest, entry, digest,
-                                     backend, policy))
-                for combo in pair_combos:
-                    dispatched, report, ledger, error = _run_combo(
-                        manifest, str(entry.pair), load, combo)
+            for index, (entry, digest, pair_combos) in enumerate(plans):
+                if index in jobs:
+                    outcome = children[index].result()
+                    if outcome is None:  # never started: a pair failed first
+                        continue
+                    results, records = outcome
+                    for record in records:
+                        logging.getLogger(record.name).handle(record)
+                    if isinstance(results, HarnessError):
+                        raise results
+                elif children.stopped:  # no pair starts after a failure
+                    continue
+                else:
+                    results = _run_pair(manifest, *_resolved(
+                        entry, digest, pair_combos), backend, policy)
+                for combo, (dispatched, report, ledger, error) in zip(
+                        pair_combos, results):
                     dispatched_total += dispatched
                     ledgers.append(ledger)
                     if report is not None:
                         reports.append(report)
                     if error is not None:
                         errors[(str(entry.pair), combo.tid.value)] = error
-                del load  # the pair's corpus goes with its last combo
             log.info("run end: %d prompts dispatched", dispatched_total)
 
     summary = {
@@ -289,6 +330,23 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     write_json(out / "summary.json", summary)
     return RunResult(run_dir=out, reports=reports, ledgers=ledgers,
                      inference_calls=dispatched_total, errors=errors)
+
+
+def _run_pair(manifest: RunManifest, entry: CorpusEntry, digest: str,
+              combos: list[_Combo], backend, policy) -> list[tuple]:
+    """Skip or run each of a pair's combos in order (_run_combo); the pair
+    is parsed, and its mock built, for the first combo not skipped, and
+    freed with the last. The one per-pair step of both of run's paths."""
+    load = cache(partial(_load_pair, manifest, entry, digest, backend, policy))
+    return [_run_combo(manifest, str(entry.pair), load, combo)
+            for combo in combos]
+
+
+def _resolved(entry: CorpusEntry, digest: str, combos: list[_Combo]) -> tuple:
+    """A pair's plan as _run_pair takes it: each combo's prehash future
+    replaced by the digests it gives."""
+    return entry, digest, [
+        c._replace(prehash=c.prehash and c.prehash.result()) for c in combos]
 
 
 def _load_pair(manifest: RunManifest, entry: CorpusEntry, digest: str,
@@ -339,20 +397,198 @@ def _run_log(path: Path):
 
 @contextmanager
 def _thread_pool():
-    """A pool of one thread per CPU. Leaving the block, by any path,
+    """A pool of one thread per CPU (_cpus). Leaving the block, by any path,
     cancels the work not yet started and joins the threads."""
-    pool = ThreadPoolExecutor(os.cpu_count())
+    pool = ThreadPoolExecutor(_cpus())
     try:
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which a cpuset
+    or taskset narrows, where the platform has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The TSV bytes of the pairs with combos to run above which those pairs run
+# in child processes. A child starts in about 0.17 s, and a 6-template mock
+# run gets through about 18 MB of TSV per second (2-vCPU Xeon VM, Python
+# 3.11). Two children at best halve the work, which pays for a start once
+# the work takes more than 2 x 0.17 s: 0.34 s x 18 MB/s, about 6 MB. Timed
+# on two pairs cut to size, children lost at 4 MB (0.51 s against 0.58 s)
+# and won 7 of 8 runs at 6 MB (0.73 s against 0.69 s).
+_CHILD_BREAK_EVEN = 6_000_000
+
+
+def _child_pairs(plans: list[tuple], backend) -> list[int]:
+    """The indices in plans of the pairs that run in child processes,
+    largest first by TSV bytes: every pair with a combo to run, when run
+    builds a mock backend per pair (backend is None), the process may use
+    two CPUs or more, and two pairs or more, with more than
+    _CHILD_BREAK_EVEN TSV bytes between them, have combos to run; else
+    none. A pair has a combo to run when some combo's marker does not name
+    its fingerprint; a combo whose marker names it is expected to skip."""
+    if backend is not None or _cpus() < 2:
+        return []
+    sizes = {}
+    for index, (entry, _, combos) in enumerate(plans):
+        hashed = {c.marker for c in combos if c.prehash is not None}
+        if any(c.marker not in hashed for c in combos):
+            sizes[index] = sum(_size(p) for p in (entry.train_path,
+                                                  entry.test_path))
+    if len(sizes) < 2 or sum(sizes.values()) <= _CHILD_BREAK_EVEN:
+        return []
+    return sorted(sizes, key=sizes.get, reverse=True)
+
+
+def _size(path: Path) -> int:
+    """The size of the file at path; 0 when it is gone, which _load_pair
+    reports when the run reaches its pair."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
+# What a child runs: the parent's copy of the package first on its path, the
+# working directory off it, then _serve. The caller's __main__ is never
+# imported.
+_CHILD_CODE = ("import sys; "
+               "sys.path = [sys.argv[1], *filter(None, sys.path)]; "
+               "from qeharness.pipeline import _serve; _serve()")
+_PACKAGE_ROOT = str(Path(__file__).absolute().parent.parent)
+_CHILD_GRACE_S = 10  # how long an interrupted child may take to clean up
+
+
+class _Children(dict):
+    """The future outcome of each job by its key, as _children hands them
+    out. An outcome is (results or the HarnessError raised, the log
+    records made), or None for a job never started. stopped is set once
+    any job has failed: no job starts after that."""
+
+    stopped = False
+
+
+@contextmanager
+def _children(jobs: dict, out: Path):
+    """Run each job, a key's _run_pair arguments, in one of min(_cpus(),
+    len(jobs)) fresh child interpreters (_serve), handing them out in the
+    order of jobs; yields their _Children. Jobs and outcomes cross the
+    children's pipes pickled. A child that exits without an outcome fails
+    its job with ChildFailed naming the pair and the exit status. Leaving
+    the block by an exception stops the children with SIGTERM, which they
+    take as Ctrl-C. By any path every child is reaped and, when one ended
+    abnormally, the run's *.tmp files are removed before the block ends."""
+    outcomes = _Children((key, Future()) for key in jobs)
+    waiting = deque(jobs.items())
+    lock = threading.Lock()
+    procs: list[subprocess.Popen] = []
+    drivers: list[threading.Thread] = []
+
+    def stop() -> None:
+        with lock:
+            outcomes.stopped = True
+            while waiting:
+                outcomes[waiting.popleft()[0]].set_result(None)
+
+    def drive(proc: subprocess.Popen) -> None:
+        while True:
+            with lock:
+                if not waiting:
+                    break
+                key, job = waiting.popleft()
+            try:
+                pickle.dump(job, proc.stdin)
+                proc.stdin.flush()
+                outcome = pickle.load(proc.stdout)
+            except Exception:  # the child died, or sent what cannot be read
+                try:
+                    status = proc.wait(_CHILD_GRACE_S)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    status = proc.wait()
+                cause = f" ({signal.strsignal(-status)})" if status < 0 else ""
+                outcome = (ChildFailed(
+                    f"the child process running pair {job[1].pair} exited "
+                    f"with status {status}{cause}"), [])
+            if isinstance(outcome[0], HarnessError):
+                stop()
+            outcomes[key].set_result(outcome)
+        with suppress(OSError):  # a child that died leaves a broken pipe
+            proc.stdin.close()
+
+    try:
+        for _ in range(min(_cpus(), len(jobs))):
+            procs.append(subprocess.Popen(
+                [sys.executable, *subprocess._args_from_interpreter_flags(),
+                 "-c", _CHILD_CODE, _PACKAGE_ROOT],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            drivers.append(threading.Thread(target=drive, args=(procs[-1],)))
+            drivers[-1].start()
+        yield outcomes
+    except BaseException:
+        stop()
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        stop()
+        for proc in procs:
+            try:
+                proc.wait(_CHILD_GRACE_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        for driver in drivers:
+            driver.join()
+        for proc in procs:
+            proc.stdout.close()
+        if any(proc.returncode for proc in procs):
+            for tmp in out.glob("*/*.tmp"):
+                tmp.unlink(missing_ok=True)
+
+
+def _serve() -> None:
+    """A child's loop: read pickled _run_pair arguments from stdin, run
+    them, and write the pickled outcome (see _Children) to stdout, until
+    stdin ends. SIGINT is left to the parent; SIGTERM interrupts as Ctrl-C
+    would, so a staged write is undone. What the child prints goes to
+    stderr, keeping stdout for outcomes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    records = SimpleQueue()
+    logger = logging.getLogger("qeharness")
+    logger.addHandler(QueueHandler(records))
+    logger.setLevel(logging.INFO)
+    with os.fdopen(os.dup(1), "wb") as outcomes:
+        os.dup2(2, 1)
+        try:
+            while True:
+                try:
+                    job = pickle.load(sys.stdin.buffer)
+                except EOFError:
+                    return
+                try:
+                    results = _run_pair(*job)
+                except HarnessError as exc:
+                    results = exc
+                made = [records.get() for _ in range(records.qsize())]
+                pickle.dump((results, made), outcomes)
+                outcomes.flush()
+        except KeyboardInterrupt:
+            sys.exit(130)
+
+
 class _Combo(NamedTuple):
     """A (pair, template) combo as _plan_pair plans it: its template, its
     inference settings, its fingerprint (_combo_fingerprint), its four
     artifact paths by kind, its marker's path, and the future of its
-    artifacts' _digests when they were submitted for hashing, else None."""
+    artifacts' _digests when they were submitted for hashing, else None
+    (_resolved puts the digests in the future's place)."""
 
     tid: TemplateId
     template: object
@@ -406,8 +642,9 @@ def _combo_paths(out: Path, pair: str, template, model_name: str, seed: int
 
 
 def _run_combo(manifest: RunManifest, pair: str, load, combo: _Combo):
-    """Skip or run one combo; load() gives the pair's (corpus, backend),
-    which a skipped combo never asks for. The marker is read here again,
+    """Skip or run one combo, its prehash resolved (_resolved); load() gives
+    the pair's (corpus, backend), which a skipped combo never asks for.
+    Returns (dispatched, report, ledger, error). The marker is read here again,
     so a template listed twice sees the marker its twin wrote in this
     run."""
     seed = manifest.seed
@@ -416,7 +653,7 @@ def _run_combo(manifest: RunManifest, pair: str, load, combo: _Combo):
     matches = marker.get("fingerprint") == fingerprint
     if matches and _artifacts_unchanged(
             marker.get("artifacts"),
-            _digests(artifacts) if prehash is None else prehash.result()):
+            _digests(artifacts) if prehash is None else prehash):
         report, ledger, error = read_json(artifacts["report"], _report_file,
                                           ManifestError)
         log.info("%s/%s: skipped, finished under the same fingerprint", pair,

@@ -256,7 +256,7 @@ def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
     width = max(src_at, mt_at, score_at) + 1
 
     segments: list[Segment] = []
-    new = object.__new__
+    new, put = object.__new__, object.__setattr__
     row_idx = 0
     for row in rows:
         if not row:
@@ -278,11 +278,15 @@ def _segments(rows: Iterator[list[str]], pair: LangPair, split: Split,
             else:
                 if 0.0 <= score <= 100.0:
                     # the row passed Segment.__post_init__'s checks above,
-                    # so the segment is built without running them again
+                    # so its fields are set as Segment.__init__ sets them,
+                    # without running those checks again
                     segment = new(Segment)
-                    segment.__dict__.update(
-                        id=row_idx, source=source, translation=translation,
-                        da_mean=score, pair=pair, split=split)
+                    put(segment, "id", row_idx)
+                    put(segment, "source", source)
+                    put(segment, "translation", translation)
+                    put(segment, "da_mean", score)
+                    put(segment, "pair", pair)
+                    put(segment, "split", split)
                     segments.append(segment)
                     continue
                 reason = "OutOfRange"

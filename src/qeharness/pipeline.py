@@ -236,8 +236,9 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     more than _CHILD_BREAK_EVEN (6 MB) of TSV between them, have a combo
     whose marker does not name its fingerprint. The threshold is where two
     children pay for a start: a child starts in about 0.17 s and a
-    6-template mock run gets through about 18 MB of TSV per second, so the
-    work must outlast 2 x 0.17 s. Each such pair's combos then run, from
+    6-template mock run gets through about 18 MB of TSV per second, and two
+    children at best halve the work, so it must outlast 2 x 0.17 s: 0.34 s
+    x 18 MB/s is about 6 MB. Each such pair's combos then run, from
     parse to marker, in one of min(CPUs, pairs) fresh interpreters started from
     sys.executable with this package first on their path, handed out
     largest pair first; the caller's __main__ is never imported. The other
@@ -415,12 +416,10 @@ def _cpus() -> int:
 
 
 # The TSV bytes of the pairs with combos to run above which those pairs run
-# in child processes. A child starts in about 0.17 s, and a 6-template mock
-# run gets through about 18 MB of TSV per second (2-vCPU Xeon VM, Python
-# 3.11). Two children at best halve the work, which pays for a start once
-# the work takes more than 2 x 0.17 s: 0.34 s x 18 MB/s, about 6 MB. Timed
-# on two pairs cut to size, children lost at 4 MB (0.51 s against 0.58 s)
-# and won 7 of 8 runs at 6 MB (0.73 s against 0.69 s).
+# in child processes; run()'s docstring derives it. Timed on a 2-vCPU Xeon
+# VM (Python 3.11) over two pairs cut to size, children lost at 4 MB
+# (0.51 s in one process against 0.58 s) and won 7 of 8 runs at 6 MB
+# (0.73 s against 0.69 s).
 _CHILD_BREAK_EVEN = 6_000_000
 
 

@@ -31,8 +31,11 @@ REASON_AMBIGUOUS = "Ambiguous"
 
 # A numeral is 1-3 integer digits with an optional 1-2 digit fraction,
 # bounded by non-digit context. The extra lookarounds keep fragments of
-# malformed decimals (12.345) from surfacing as numerals of their own.
-_NUMERAL = re.compile(r"(?<!\d)(?<!\d\.)\d{1,3}(?:\.\d{1,2})?(?!\d)(?!\.\d)")
+# malformed decimals (12.345) from surfacing as numerals of their own. The
+# pattern starts with a digit, so a scan tries a match only at digits; the
+# lookbehinds after it say that no digit, and no digit and ".", precedes it.
+_NUMERAL = re.compile(
+    r"\d(?<!\d\d)(?<!\d\.\d)\d{0,2}(?:\.\d{1,2})?(?!\d)(?!\.\d)")
 
 # Labels that bind the nearest following numeral when they occur within
 # 12 characters before it.

@@ -218,8 +218,7 @@ def _retry_after(value: str | None) -> float | None:
 
 def _transport_error(exc: Exception) -> TransportError:
     """Classify an exception raised while sending a request or reading its
-    response. The order matters: TimeoutError is an OSError, and
-    RemoteDisconnected is both an OSError and an HTTPException."""
+    response (see _Wire). The order matters: TimeoutError is an OSError."""
     if isinstance(exc, TimeoutError):
         return TransportError(FAIL_TIMEOUT, str(exc), retryable=True)
     if isinstance(exc, OSError):  # refused, reset, broken pipe, DNS, TLS
@@ -232,6 +231,124 @@ def _peer_closed(sock) -> bool:
     nothing to read unless its peer has closed it (or sent stray bytes);
     either way it cannot carry another request."""
     return bool(select.select([sock], [], [], 0)[0])
+
+
+# http.client's limits: the bytes of one response line, and header lines
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+def _request_head(conn: http.client.HTTPConnection, target: str,
+                  headers: dict[str, str]) -> bytes:
+    """The head http.client writes for a POST to target with headers, up to
+    "Content-Length: ". conn's send is replaced, so nothing is sent; what
+    http.client refuses raises ValueError or HTTPException."""
+    sent = []
+    conn.send = sent.append
+    conn.putrequest("POST", target)
+    for name, value in headers.items():
+        conn.putheader(name, value)
+    conn.putheader("Content-Length", "")
+    conn.endheaders()
+    return sent[0][:-len(b"\r\n\r\n")]
+
+
+class _Wire:
+    """A pooled connection: http.client's, which only opens the socket, and
+    the bytes received on it and not yet read. A peer that closes before a
+    response ends raises ConnectionAbortedError; a response that breaks
+    HTTP/1.1 or http.client's limits raises ValueError."""
+
+    def __init__(self, conn: http.client.HTTPConnection):
+        self.conn = conn
+        self.buf = bytearray()
+
+    def _fill(self) -> None:
+        data = self.conn.sock.recv(65536)
+        if not data:
+            raise ConnectionAbortedError(
+                "connection closed before the response ended")
+        self.buf += data
+
+    def _line(self) -> str:
+        """The next line, without its line end."""
+        buf, start = self.buf, 0
+        while (end := buf.find(b"\n", start, _MAX_LINE)) < 0:
+            if len(buf) >= _MAX_LINE:
+                raise ValueError("response line too long")
+            start = len(buf)
+            self._fill()
+        line = buf[:end].decode("latin-1").rstrip("\r")
+        del buf[:end + 1]
+        return line
+
+    def _read(self, length: str, base: int = 10) -> bytes:
+        """The next int(length, base) bytes: a Content-Length or chunk size."""
+        n = int(length, base)
+        if n < 0:
+            raise ValueError(f"negative length {length!r}")
+        while len(self.buf) < n:
+            self._fill()
+        data = bytes(self.buf[:n])
+        del self.buf[:n]
+        return data
+
+    def _fields(self) -> dict[str, str]:
+        """A header block's fields by lower-case name, up to its blank line."""
+        fields = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if not line:
+                return fields
+            name, _, value = line.partition(":")
+            fields[name.strip().lower()] = value.strip()
+        raise ValueError(f"more than {_MAX_HEADERS} header lines")
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while chunk := self._read(self._line().partition(";")[0], 16):
+            chunks.append(chunk)
+            self._line()  # the chunk's line end
+        while self._line():  # trailer fields, dropped
+            pass
+        return b"".join(chunks)
+
+    def exchange(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Send request, opening the connection if it is not open, and read
+        the final response, skipping interim (1xx) ones: its status, header
+        fields by lower-case name and body. The connection is closed unless
+        it may carry another request: HTTP/1.1 without Connection: close, a
+        body not delimited by the peer's close, nothing received past it."""
+        if self.conn.sock is None:
+            self.conn.connect()
+        self.conn.sock.sendall(request)
+        status = 100
+        while status < 200:
+            line = self._line()
+            parts = line.split(None, 2)
+            if not (len(parts) > 1 and parts[0].startswith("HTTP/")
+                    and len(parts[1]) == 3 and parts[1].isdigit()
+                    and parts[1][0] != "0"):
+                raise ValueError(f"bad status line {line!r}")
+            version, status = parts[0], int(parts[1])
+            fields = self._fields()
+        keep = (version == "HTTP/1.1"
+                and "close" not in fields.get("connection", "").lower())
+        if status in (204, 304):
+            body = b""
+        elif fields.get("transfer-encoding", "").lower() == "chunked":
+            body = self._chunked()
+        elif "content-length" in fields:
+            body = self._read(fields["content-length"])
+        else:  # delimited by the peer's close
+            keep = False
+            while data := self.conn.sock.recv(65536):
+                self.buf += data
+            body = bytes(self.buf)
+        if not keep or self.buf:
+            self.conn.close()
+            self.buf.clear()
+        return status, fields, body
 
 
 def _proxy_for(url) -> tuple[str, int, dict[str, str]] | None:
@@ -267,17 +384,26 @@ class HttpBackend:
     Everything that stays fixed between calls is worked out once, here:
     the endpoint's scheme, host and path, the proxy (read from the
     environment, honouring no_proxy), the TLS context (the system trust
-    store) and the headers. An endpoint URL that is missing, or has no
+    store) and the request head. An endpoint URL that is missing, or has no
     host, a bad port or a scheme other than http(s), raises EndpointMissing
     here, before any prompt is sent. An API key, when present in the
     environment, rides along as a bearer token.
 
+    http.client only opens connections (TLS, a proxy's CONNECT tunnel) and
+    writes the head, with its Host, Accept-Encoding and header checks: a
+    header it refuses fails each call as ProtocolError, unsent. Each call
+    speaks HTTP/1.1 on the socket (_Wire): head, length and body in one
+    sendall, the response read within http.client's limits (65,536 bytes a
+    line, 100 header lines). A response cut short is a retried
+    ConnectionError.
+
     Keep-alive connections are pooled in the backend, not per thread, so
     they outlive the batch dispatcher's thread pools. A call takes an idle
     connection (dropping any whose peer has closed it) or opens one, and
-    gives it back once the response is read; a transport error closes it
-    instead. Redirects are not followed. close() releases the idle
-    connections; the backend stays usable.
+    gives it back once the response is read, if that response lets the
+    connection carry another; a transport error closes it instead.
+    Redirects are not followed. close() releases the idle connections; the
+    backend stays usable.
     """
 
     deterministic = False
@@ -296,16 +422,16 @@ class HttpBackend:
                 f"unsupported endpoint URL {config.endpoint_url!r}: "
                 "need http(s)://host")
         self._config = config
-        self._headers = {"Content-Type": "application/json",
-                         "User-Agent": f"qeharness/{__version__}"}
+        headers = {"Content-Type": "application/json",
+                   "User-Agent": f"qeharness/{__version__}"}
         api_key = os.environ.get(API_KEY_ENV_VAR)
         if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
-        self._idle: list[http.client.HTTPConnection] = []
+            headers["Authorization"] = f"Bearer {api_key}"
+        self._idle: list[_Wire] = []
         self._lock = threading.Lock()
-        self._target = url.path or "/"
+        target = url.path or "/"
         if url.query:
-            self._target += f"?{url.query}"
+            target += f"?{url.query}"
         host, port = url.hostname, port or (443 if url.scheme == "https" else 80)
         self._address = (host, port)
         self._tunnel = None
@@ -320,8 +446,13 @@ class HttpBackend:
             if url.scheme == "https":
                 self._tunnel = (host, port, proxy_headers)
             else:  # a plain-HTTP proxy takes the absolute URI
-                self._target = f"http://{url.netloc}{self._target}"
-                self._headers.update(proxy_headers)
+                target = f"http://{url.netloc}{target}"
+                headers.update(proxy_headers)
+        self._head, self._refused = b"", None
+        try:
+            self._head = _request_head(self._open(), target, headers)
+        except (http.client.HTTPException, ValueError) as exc:
+            self._refused = exc
 
     def _open(self) -> http.client.HTTPConnection:
         conn = self._connection(*self._address,
@@ -330,7 +461,7 @@ class HttpBackend:
             conn.set_tunnel(*self._tunnel)
         return conn
 
-    def _take(self) -> http.client.HTTPConnection:
+    def _take(self) -> _Wire:
         """An idle connection its peer has not closed, or a new one. A
         connection whose last response closed it has no socket; it reopens
         on its next request."""
@@ -338,20 +469,22 @@ class HttpBackend:
             with self._lock:
                 if not self._idle:
                     break
-                conn = self._idle.pop()
-            if conn.sock is None or not _peer_closed(conn.sock):
-                return conn
-            conn.close()
-        return self._open()
+                wire = self._idle.pop()
+            if wire.conn.sock is None or not _peer_closed(wire.conn.sock):
+                return wire
+            wire.conn.close()
+        return _Wire(self._open())
 
     def close(self) -> None:
         """Close the idle connections."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for wire in idle:
+            wire.conn.close()
 
     def generate_once(self, prompt: RenderedPrompt) -> str:
+        if self._refused is not None:
+            raise _transport_error(self._refused) from self._refused
         cfg = self._config
         payload = {
             "model": cfg.model_name,
@@ -360,29 +493,28 @@ class HttpBackend:
             "max_tokens": cfg.max_new_tokens,
         }
         body = json.dumps(payload).encode()
-        conn = self._take()
+        wire = self._take()
         try:
-            conn.request("POST", self._target, body, self._headers)
-            resp = conn.getresponse()
-            data = resp.read()
-        # http.client raises ValueError for a header value it will not send
+            status, fields, data = wire.exchange(
+                b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+        # connect() reads a proxy's answer to CONNECT with http.client
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            conn.close()
+            wire.conn.close()
             raise _transport_error(exc) from exc
         with self._lock:
-            self._idle.append(conn)
+            self._idle.append(wire)
 
-        if resp.status == 429:
+        if status == 429:
             raise TransportError(
                 FAIL_RATE_LIMITED, "HTTP 429", retryable=True,
-                retry_after=_retry_after(resp.getheader("Retry-After")))
-        if resp.status >= 500:
+                retry_after=_retry_after(fields.get("retry-after")))
+        if status >= 500:
             raise TransportError(FAIL_SERVER_ERROR,
-                                 f"HTTP {resp.status}", retryable=True)
-        if resp.status != 200:
+                                 f"HTTP {status}", retryable=True)
+        if status != 200:
             # non-429 4xx (and unfollowed 3xx) will not improve on retry
             raise TransportError(FAIL_CLIENT_ERROR,
-                                 f"HTTP {resp.status}", retryable=False)
+                                 f"HTTP {status}", retryable=False)
         try:
             content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

@@ -11,11 +11,13 @@ runs are byte-identical end to end.
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import json
 import logging
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -555,7 +557,9 @@ def _serve() -> None:
     """A child's loop: read pickled _run_pair arguments from stdin, run
     them, and write the pickled outcome (see _Children) to stdout, until
     stdin ends. SIGINT is left to the parent; SIGTERM interrupts as Ctrl-C
-    would, so a staged write is undone. What the child prints goes to
+    would, so a staged write is undone, and so does the parent's end while a
+    job runs (_interrupt_if_orphaned). A child whose outcome cannot be sent,
+    its parent gone, exits with status 1. What the child prints goes to
     stderr, keeping stdout for outcomes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -571,15 +575,31 @@ def _serve() -> None:
                     job = pickle.load(sys.stdin.buffer)
                 except EOFError:
                     return
+                done = threading.Event()
+                threading.Thread(target=_interrupt_if_orphaned, args=(done,),
+                                 daemon=True).start()
                 try:
                     results = _run_pair(*job)
                 except HarnessError as exc:
                     results = exc
+                done.set()
                 made = [records.get() for _ in range(records.qsize())]
                 pickle.dump((results, made), outcomes)
                 outcomes.flush()
         except KeyboardInterrupt:
             sys.exit(130)
+        except BrokenPipeError:  # closing outcomes would raise it again
+            os._exit(1)
+
+
+def _interrupt_if_orphaned(done: threading.Event) -> None:
+    """Wait until stdin is readable, then interrupt the main thread as
+    SIGTERM does, unless done is set by then. The parent sends nothing while
+    a job runs, so stdin readable before the job is done is its end: the
+    parent is gone."""
+    select.select([sys.stdin], [], [])
+    if not done.is_set():
+        _thread.interrupt_main(signal.SIGTERM)
 
 
 class _Combo(NamedTuple):

@@ -16,8 +16,11 @@ import socket
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from queue import SimpleQueue
 
 import pytest
 
@@ -462,3 +465,94 @@ def test_children_import_the_callers_package_not_its_main(tmp_path, data):
     calls = sum(n_test for _, _, n_test in PAIRS)
     assert proc.stdout.splitlines() == ["script ran",
                                         f"children 2 calls {calls}"]
+
+
+def test_a_killed_parent_stops_its_children_and_resumes(tmp_path, data,
+                                                        monkeypatch):
+    """SIGKILL a run's parent while its children are mid-pair: they end
+    within 0.5 s without a traceback, nothing in the run directory changes
+    after that, and a resume gives the files of an uninterrupted run."""
+    clean = _clean(data, tmp_path, monkeypatch)
+    out = tmp_path / "run"
+    folder = tmp_path / "inject"
+    folder.mkdir()
+    # each mock call takes 20 ms, so each pair takes 0.8 s or more
+    (folder / "slow_child.py").write_text(textwrap.dedent("""
+        import os
+        import sys
+        import time
+        from qeharness import gateway
+
+        original = gateway.MockBackend._apply
+
+        def _apply(self, policy, prompt):
+            if not self.calls_seen:
+                print("working", os.getpid(), file=sys.stderr, flush=True)
+            self.calls_seen += 1
+            time.sleep(0.02)
+            return original(self, policy, prompt)
+
+        gateway.MockBackend.calls_seen = 0
+        gateway.MockBackend._apply = _apply
+    """), encoding="utf-8")
+    script = tmp_path / "parent.py"
+    script.write_text(textwrap.dedent(f"""
+        import json
+        import sys
+        sys.path.insert(0, {str(Path(qeharness.__file__).parent.parent)!r})
+        from qeharness import pipeline
+
+        pipeline._CHILD_BREAK_EVEN = 0
+        pipeline._cpus = lambda: 2
+        pipeline._CHILD_CODE = pipeline._CHILD_CODE.replace(
+            "; _serve()", "; import slow_child; _serve()")
+        pipeline.run(pipeline.RunManifest.from_dict(json.loads(
+            {json.dumps(_manifest(data, out).to_dict())!r})))
+    """), encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(folder)})
+    lines = SimpleQueue()  # stderr's lines, then None once every writer ended
+
+    def drain():
+        for line in proc.stderr:
+            lines.put(line)
+        lines.put(None)
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    seen = []
+    while sum(line.startswith("working") for line in seen) < 2:
+        seen.append(lines.get(timeout=60))
+        assert seen[-1] is not None, "".join(seen[:-1])
+    proc.kill()
+    proc.wait()
+    reader.join(0.5)  # a child still running holds stderr open
+    assert not reader.is_alive(), "a child outlived its parent by 0.5 s"
+    proc.stderr.close()
+    while (line := lines.get()) is not None:
+        seen.append(line)
+    assert not any("Traceback" in line for line in seen), "".join(seen)
+    files = _files(out)
+    time.sleep(0.3)
+    assert _files(out) == files
+    assert list(out.rglob("*.tmp")) == []
+    run(_manifest(data, out))
+    assert _comparable(out) == _comparable(clean)
+
+
+def test_a_child_whose_outcome_pipe_is_broken_exits_quietly():
+    code = _CHILD_CODE.replace(
+        "; _serve()", "; import qeharness.pipeline as p; "
+        "p._run_pair = lambda *job: []; _serve()")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, str(Path(qeharness.__file__).parent.parent)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # no one reads the outcome
+    pickle.dump(("a job",), proc.stdin)
+    proc.stdin.flush()  # and stdin stays open: the parent is not gone
+    assert proc.wait(timeout=60) == 1
+    stderr = proc.stderr.read()
+    proc.stdin.close()
+    proc.stderr.close()
+    assert b"Traceback" not in stderr, stderr.decode()

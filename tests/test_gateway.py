@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
@@ -726,7 +727,7 @@ def test_http_headers_and_body_bytes(keepalive_server, monkeypatch, api_key):
     segments, prompts = _prompts(1)
     complete(cfg, prompts[0])
     _, headers, body = server.seen[0]
-    # Host, Content-Length and Accept-Encoding come from http.client itself
+    # Host, Content-Length and Accept-Encoding are the harness's own
     chosen = set(headers) - {"Host", "Content-Length", "Accept-Encoding"}
     assert chosen == {"Content-Type", "User-Agent"} | (
         {"Authorization"} if api_key else set())
@@ -820,3 +821,157 @@ def test_cli_import_does_not_load_requests():
         [sys.executable, "-c",
          "import qeharness.cli, sys; assert 'requests' not in sys.modules"],
         env=env, check=True, timeout=60)
+
+
+# -- the response reader, against scripted replies ------------------------------
+
+class _ScriptedServer:
+    """Reads requests, one connection at a time, and answers the i-th with
+    the i-th reply of its script: (packets, close), each packet sent on its
+    own, then the connection closed if close is set."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.connections = 0
+        self.requests = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._stopped = False
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @property
+    def url(self) -> str:
+        port = self._listener.getsockname()[1]
+        return f"http://127.0.0.1:{port}/v1/chat/completions"
+
+    def _serve(self):
+        while not self._stopped:
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            with conn:
+                conn.settimeout(5)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._answer(conn)
+
+    def _answer(self, conn):
+        data = b""
+        while self.replies:
+            while b"\r\n\r\n" not in data:
+                more = conn.recv(65536)
+                if not more:
+                    return
+                data += more
+            head, _, data = data.partition(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            while len(data) < length:
+                data += conn.recv(65536)
+            self.requests.append(json.loads(data[:length]))
+            data = data[length:]
+            packets, close = self.replies.pop(0)
+            for packet in packets:
+                conn.sendall(packet)
+                time.sleep(0.001)
+            if close:
+                return
+
+    def stop(self):
+        self._stopped = True
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+@pytest.fixture
+def scripted_server():
+    servers = []
+
+    def start(*replies):
+        servers.append(_ScriptedServer(replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+def _reply(text="Score: 61.5", extra=b"") -> bytes:
+    body = json.dumps(_ok_body(text)).encode()
+    return (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n" + extra
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+def _complete_each(server, n, **overrides):
+    """Send n prompts one after another through one backend."""
+    cfg = _http_config(server, **overrides)
+    segments, prompts = _prompts(n)
+    with closing(HttpBackend(cfg)) as backend:
+        return [complete(cfg, p, backend) for p in prompts]
+
+
+@pytest.mark.parametrize("cut", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n{\"choices\": [",
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"],
+    ids=["body-short-of-its-length", "no-blank-line-after-headers"])
+def test_http_response_cut_short_is_retried(scripted_server, cut):
+    server = scripted_server(([cut], True), ([_reply()], False))
+    (out,) = _complete_each(server, 1)
+    assert (out.transport_status, out.raw_text) == (TRANSPORT_OK, "Score: 61.5")
+    assert out.attempt_count == 2
+    assert server.connections == 2
+
+
+def test_http_chunked_body_with_extension_and_trailer(scripted_server):
+    body = json.dumps(_ok_body("Score: 77")).encode()
+    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               + b"%x;name=value\r\n%s\r\n" % (10, body[:10])
+               + b"%X\r\n%s\r\n" % (len(body) - 10, body[10:])
+               + b"0\r\nX-Checksum: none\r\n\r\n")
+    server = scripted_server(([chunked], False), ([_reply()], False))
+    outputs = _complete_each(server, 2)
+    assert [o.raw_text for o in outputs] == ["Score: 77", "Score: 61.5"]
+    assert [o.attempt_count for o in outputs] == [1, 1]
+    assert server.connections == 1  # the trailer was read to its end
+
+
+def test_http_status_line_and_headers_one_byte_per_packet(scripted_server):
+    reply = _reply("Score: 12", b"Retry-After: 3\r\n")
+    head, _, body = reply.partition(b"\r\n\r\n")
+    packets = [bytes([b]) for b in head + b"\r\n\r\n"] + [body]
+    server = scripted_server((packets, False), ([_reply()], False))
+    outputs = _complete_each(server, 2)
+    assert [o.raw_text for o in outputs] == ["Score: 12", "Score: 61.5"]
+    assert [o.attempt_count for o in outputs] == [1, 1]
+    assert server.connections == 1
+
+
+def test_http_connection_close_opens_a_new_connection(scripted_server):
+    # the server would serve the second request on the first connection
+    server = scripted_server(([_reply(extra=b"Connection: close\r\n")], False),
+                             ([_reply("Score: 9")], False))
+    outputs = _complete_each(server, 2)
+    assert [o.raw_text for o in outputs] == ["Score: 61.5", "Score: 9"]
+    assert [o.attempt_count for o in outputs] == [1, 1]
+    assert server.connections == 2
+
+
+def test_http_interim_100_continue_is_skipped(scripted_server):
+    server = scripted_server(
+        ([b"HTTP/1.1 100 Continue\r\n\r\n", _reply("Score: 40")], False))
+    (out,) = _complete_each(server, 1)
+    assert (out.transport_status, out.raw_text) == (TRANSPORT_OK, "Score: 40")
+    assert out.attempt_count == 1
+
+
+@pytest.mark.parametrize("extra", [
+    b"X-Filler: 1\r\n" * 101, b"X-Long: " + b"a" * 65536 + b"\r\n"],
+    ids=["101-header-lines", "a-line-over-65536-bytes"])
+def test_http_header_block_over_the_limit_is_protocol_error(scripted_server,
+                                                            extra):
+    server = scripted_server(*[([_reply(extra=extra)], False)] * 3)
+    (out,) = _complete_each(server, 1, max_retries=2)
+    assert out.transport_status == FAIL_PROTOCOL
+    assert out.attempt_count == 1
+    assert len(server.requests) == 1

@@ -284,8 +284,7 @@ class _Wire:
 
     def _read(self, length: str, base: int = 10) -> bytes:
         """The next int(length, base) bytes: a Content-Length or chunk size."""
-        n = int(length, base)
-        if n < 0:
+        if (n := int(length, base)) < 0:
             raise ValueError(f"negative length {length!r}")
         while len(self.buf) < n:
             self._fill()
@@ -314,7 +313,7 @@ class _Wire:
         return b"".join(chunks)
 
     def exchange(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
-        """Send request, opening the connection if it is not open, and read
+        """Send request, opening the connection if it is new, and read
         the final response, skipping interim (1xx) ones: its status, header
         fields by lower-case name and body. The connection is closed unless
         it may carry another request: HTTP/1.1 without Connection: close, a
@@ -462,15 +461,13 @@ class HttpBackend:
         return conn
 
     def _take(self) -> _Wire:
-        """An idle connection its peer has not closed, or a new one. A
-        connection whose last response closed it has no socket; it reopens
-        on its next request."""
+        """An idle connection its peer has not closed, or a new one."""
         while True:
             with self._lock:
                 if not self._idle:
                     break
                 wire = self._idle.pop()
-            if wire.conn.sock is None or not _peer_closed(wire.conn.sock):
+            if not _peer_closed(wire.conn.sock):
                 return wire
             wire.conn.close()
         return _Wire(self._open())
@@ -501,8 +498,9 @@ class HttpBackend:
         except (OSError, http.client.HTTPException, ValueError) as exc:
             wire.conn.close()
             raise _transport_error(exc) from exc
-        with self._lock:
-            self._idle.append(wire)
+        if wire.conn.sock is not None:  # the response kept it open
+            with self._lock:
+                self._idle.append(wire)
 
         if status == 429:
             raise TransportError(

@@ -11,8 +11,8 @@ another through one HttpBackend with `complete`, no backoff between
 attempts, timing the calling thread's CPU (time.thread_time) and the wall
 clock. Prints one JSON object: the median over rounds of the client CPU
 and of the wall time per request (an attempt; a retried prompt makes two)
-in ms, each round's readings, and the
-Python version. Every prompt must come back ok, else the exit status is 1.
+in ms, each round's readings, and the Python version. Every prompt must
+come back ok, else the exit status is 1.
 The qeharness measured is this checkout's src/. Standard library only.
 """
 

@@ -232,28 +232,25 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     pool of one thread per CPU, while the next pair's TSVs are hashed. The
     pool's threads end before run returns or raises.
 
-    Pairs run side by side in child processes when run builds its backend
-    per pair (a mock policy, no backend passed in), the process may use at
-    least two CPUs (its affinity mask), and at least two pairs, holding
-    more than _CHILD_BREAK_EVEN (6 MB) of TSV between them, have a combo
-    whose marker does not name its fingerprint. The threshold is where two
-    children pay for a start: a child starts in about 0.17 s and a
-    6-template mock run gets through about 18 MB of TSV per second, and two
-    children at best halve the work, so it must outlast 2 x 0.17 s: 0.34 s
-    x 18 MB/s is about 6 MB. Each such pair's combos then run, from
-    parse to marker, in one of min(CPUs, pairs) fresh interpreters started from
-    sys.executable with this package first on their path, handed out
-    largest pair first; the caller's __main__ is never imported. The other
-    pairs, an HTTP run, and a run given a backend, which shares one
-    in-flight budget, run in this process. Here the plan, the skip checks,
-    log.txt and summary.json are made, and each pair's results and log
-    records are taken in manifest order, so the files and the RunResult
-    are the ones one process makes. Once a pair fails, no pair starts, and
-    the first failed pair in manifest order raises its error; a child that
-    exits without an outcome raises ChildFailed naming the pair and its
-    exit status. An interrupt, or any error, stops the children with
-    SIGTERM, which undoes their staged writes. No child outlives run, nor
-    does a temp file a killed child left.
+    Each pair is a job of one executor (_pairs) whose workers are this
+    process's main thread and, when run builds its backend per pair (a mock
+    policy, no backend passed in), the process may use at least two CPUs
+    (its affinity mask), and at least two pairs, holding more than
+    _CHILD_BREAK_EVEN (6 MB) of TSV between them, have a combo whose marker
+    does not name its fingerprint, min(CPUs, such pairs) - 1 children:
+    fresh interpreters started from sys.executable with this package first
+    on their path, which never import the caller's __main__. With children
+    the pairs are handed out largest first, else, as for an HTTP run or a
+    run given a backend (one in-flight budget), in manifest order. A worker
+    runs a pair's combos from parse to marker (_outcome); here the plan, the
+    skip checks, log.txt and summary.json are made, and each pair's results
+    and log records are taken in manifest order, so the files and the
+    RunResult are the ones one process makes. Once a pair fails, no pair
+    starts, and the first failed pair in manifest order raises its error; a
+    child that exits without an outcome raises ChildFailed naming the pair
+    and its exit status. An interrupt, or any error, undoes this process's
+    staged writes and stops the children with SIGTERM, which undoes theirs.
+    No child outlives run, nor does a temp file a killed child left.
     """
     if not manifest.templates:
         raise ManifestError("manifest lists no templates")
@@ -293,26 +290,17 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
         errors: dict = {}
         dispatched_total = 0
 
-        jobs = {index: (manifest, *_resolved(*plans[index]), None, policy)
-                for index in _child_pairs(plans, backend)}
-        with _run_log(out / "log.txt"), _children(jobs, out) as children:
+        order, children = _hand_out(plans, backend)
+        jobs = {index: (manifest, *plans[index], backend, policy)
+                for index in order}
+        with _run_log(out / "log.txt"), _pairs(jobs, children, out) as outcome:
             log.info("run start: %d pairs, %d templates", len(plans),
                      len(manifest.templates))
-            for index, (entry, digest, pair_combos) in enumerate(plans):
-                if index in jobs:
-                    outcome = children[index].result()
-                    if outcome is None:  # never started: a pair failed first
-                        continue
-                    results, records = outcome
-                    for record in records:
-                        logging.getLogger(record.name).handle(record)
-                    if isinstance(results, HarnessError):
-                        raise results
-                elif children.stopped:  # no pair starts after a failure
-                    continue
-                else:
-                    results = _run_pair(manifest, *_resolved(
-                        entry, digest, pair_combos), backend, policy)
+            for index, (entry, _, pair_combos) in enumerate(plans):
+                results, records = outcome(index)
+                _replay(records)
+                if isinstance(results, HarnessError):
+                    raise results
                 for combo, (dispatched, report, ledger, error) in zip(
                         pair_combos, results):
                     dispatched_total += dispatched
@@ -339,17 +327,18 @@ def _run_pair(manifest: RunManifest, entry: CorpusEntry, digest: str,
               combos: list[_Combo], backend, policy) -> list[tuple]:
     """Skip or run each of a pair's combos in order (_run_combo); the pair
     is parsed, and its mock built, for the first combo not skipped, and
-    freed with the last. The one per-pair step of both of run's paths."""
+    freed with the last. The one per-pair step, wherever it runs."""
     load = cache(partial(_load_pair, manifest, entry, digest, backend, policy))
     return [_run_combo(manifest, str(entry.pair), load, combo)
             for combo in combos]
 
 
-def _resolved(entry: CorpusEntry, digest: str, combos: list[_Combo]) -> tuple:
-    """A pair's plan as _run_pair takes it: each combo's prehash future
-    replaced by the digests it gives."""
-    return entry, digest, [
-        c._replace(prehash=c.prehash and c.prehash.result()) for c in combos]
+def _resolved(job: tuple) -> tuple:
+    """A job, _run_pair's arguments, as _run_pair takes it: each combo's
+    prehash future replaced by the digests it gives."""
+    *head, combos, backend, policy = job
+    return (*head, [c._replace(prehash=c.prehash and c.prehash.result())
+                    for c in combos], backend, policy)
 
 
 def _load_pair(manifest: RunManifest, entry: CorpusEntry, digest: str,
@@ -417,24 +406,30 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The TSV bytes of the pairs with combos to run above which those pairs run
-# in child processes; run()'s docstring derives it. Timed on a 2-vCPU Xeon
-# VM (Python 3.11) over two pairs cut to size, children lost at 4 MB
-# (0.51 s in one process against 0.58 s) and won 7 of 8 runs at 6 MB
-# (0.73 s against 0.69 s).
+# The TSV bytes of the pairs with combos to run above which children run
+# pairs beside this process (run). Two children must pay for their starts:
+# a child starts in about 0.17 s, a 6-template mock run gets through about
+# 18 MB of TSV per second, and two workers at best halve the work, so it
+# must outlast 0.34 s: 0.34 s x 18 MB/s is about 6 MB. Timed on a 2-vCPU Xeon
+# VM (Python 3.11) over two pairs cut to size, two children lost at 4 MB
+# (0.51 s in one process against 0.58 s) and won 7 of 8 runs at 6 MB (0.73 s
+# against 0.69 s). As this process is a worker, two CPUs now pay for one
+# start, so 6 MB is a conservative threshold.
 _CHILD_BREAK_EVEN = 6_000_000
 
 
-def _child_pairs(plans: list[tuple], backend) -> list[int]:
-    """The indices in plans of the pairs that run in child processes,
-    largest first by TSV bytes: every pair with a combo to run, when run
+def _hand_out(plans: list[tuple], backend) -> tuple:
+    """The order in which run hands out the indices of plans, and the
+    number of child processes that run them beside this process. When run
     builds a mock backend per pair (backend is None), the process may use
     two CPUs or more, and two pairs or more, with more than
-    _CHILD_BREAK_EVEN TSV bytes between them, have combos to run; else
-    none. A pair has a combo to run when some combo's marker does not name
-    its fingerprint; a combo whose marker names it is expected to skip."""
+    _CHILD_BREAK_EVEN TSV bytes between them, have combos to run: those
+    pairs largest first by TSV bytes, then the others, to min(CPUs, pairs
+    with combos to run) - 1 children. Else manifest order and no child. A
+    pair has a combo to run when some combo's marker does not name its
+    fingerprint; a combo whose marker names it is expected to skip."""
     if backend is not None or _cpus() < 2:
-        return []
+        return range(len(plans)), 0
     sizes = {}
     for index, (entry, _, combos) in enumerate(plans):
         hashed = {c.marker for c in combos if c.prehash is not None}
@@ -442,8 +437,9 @@ def _child_pairs(plans: list[tuple], backend) -> list[int]:
             sizes[index] = sum(_size(p) for p in (entry.train_path,
                                                   entry.test_path))
     if len(sizes) < 2 or sum(sizes.values()) <= _CHILD_BREAK_EVEN:
-        return []
-    return sorted(sizes, key=sizes.get, reverse=True)
+        return range(len(plans)), 0
+    return (sorted(range(len(plans)), key=lambda i: sizes.get(i, -1),
+                   reverse=True), min(_cpus(), len(sizes)) - 1)
 
 
 def _size(path: Path) -> int:
@@ -465,26 +461,19 @@ _PACKAGE_ROOT = str(Path(__file__).absolute().parent.parent)
 _CHILD_GRACE_S = 10  # how long an interrupted child may take to clean up
 
 
-class _Children(dict):
-    """The future outcome of each job by its key, as _children hands them
-    out. An outcome is (results or the HarnessError raised, the log
-    records made), or None for a job never started. stopped is set once
-    any job has failed: no job starts after that."""
-
-    stopped = False
-
-
 @contextmanager
-def _children(jobs: dict, out: Path):
-    """Run each job, a key's _run_pair arguments, in one of min(_cpus(),
-    len(jobs)) fresh child interpreters (_serve), handing them out in the
-    order of jobs; yields their _Children. Jobs and outcomes cross the
-    children's pipes pickled. A child that exits without an outcome fails
-    its job with ChildFailed naming the pair and the exit status. Leaving
-    the block by an exception stops the children with SIGTERM, which they
-    take as Ctrl-C. By any path every child is reaped and, when one ended
-    abnormally, the run's *.tmp files are removed before the block ends."""
-    outcomes = _Children((key, Future()) for key in jobs)
+def _pairs(jobs: dict, children: int, out: Path):
+    """Run each job, a key's _run_pair arguments (_resolved when handed
+    out), on this thread or in one of children fresh interpreters (_serve),
+    in the order of jobs; yields outcome(key), the _outcome of key's job,
+    which runs waiting jobs on this thread until that job is done. Jobs and
+    outcomes cross the children's pipes pickled; a child that exits without
+    an outcome fails its job with ChildFailed naming the pair and the exit
+    status. Once a job has failed, each waiting job gets the outcome ([],
+    []). Leaving the block by an exception stops the children with SIGTERM,
+    which they take as Ctrl-C. By any path every child is reaped and, when
+    one ended abnormally, the run's *.tmp files are removed."""
+    outcomes = {key: Future() for key in jobs}
     waiting = deque(jobs.items())
     lock = threading.Lock()
     procs: list[subprocess.Popen] = []
@@ -492,16 +481,24 @@ def _children(jobs: dict, out: Path):
 
     def stop() -> None:
         with lock:
-            outcomes.stopped = True
             while waiting:
-                outcomes[waiting.popleft()[0]].set_result(None)
+                outcomes[waiting.popleft()[0]].set_result(([], []))
+
+    def take() -> tuple | None:  # the next waiting (key, job) resolved
+        with lock:
+            if not waiting:
+                return None
+            key, job = waiting.popleft()
+        return key, _resolved(job)
+
+    def settle(key, outcome: tuple) -> None:
+        if isinstance(outcome[0], HarnessError):
+            stop()
+        outcomes[key].set_result(outcome)
 
     def drive(proc: subprocess.Popen) -> None:
-        while True:
-            with lock:
-                if not waiting:
-                    break
-                key, job = waiting.popleft()
+        while (taken := take()) is not None:
+            key, job = taken
             try:
                 pickle.dump(job, proc.stdin)
                 proc.stdin.flush()
@@ -516,21 +513,24 @@ def _children(jobs: dict, out: Path):
                 outcome = (ChildFailed(
                     f"the child process running pair {job[1].pair} exited "
                     f"with status {status}{cause}"), [])
-            if isinstance(outcome[0], HarnessError):
-                stop()
-            outcomes[key].set_result(outcome)
+            settle(key, outcome)
         with suppress(OSError):  # a child that died leaves a broken pipe
             proc.stdin.close()
 
+    def outcome(key) -> tuple:
+        while not outcomes[key].done() and (taken := take()) is not None:
+            settle(taken[0], _outcome(taken[1]))
+        return outcomes[key].result()
+
     try:
-        for _ in range(min(_cpus(), len(jobs))):
+        for _ in range(children):
             procs.append(subprocess.Popen(
                 [sys.executable, *subprocess._args_from_interpreter_flags(),
                  "-c", _CHILD_CODE, _PACKAGE_ROOT],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE))
             drivers.append(threading.Thread(target=drive, args=(procs[-1],)))
             drivers[-1].start()
-        yield outcomes
+        yield outcome
     except BaseException:
         stop()
         for proc in procs:
@@ -553,20 +553,47 @@ def _children(jobs: dict, out: Path):
                 tmp.unlink(missing_ok=True)
 
 
+def _outcome(job: tuple) -> tuple:
+    """(_run_pair(*job)'s results, or the HarnessError it raised, the log
+    records it made), in this process or a child. While it runs, the
+    qeharness logger's handlers are swapped for a QueueHandler, with
+    propagation off; any other exception propagates once the records held
+    are handed to the handlers put back."""
+    logger = logging.getLogger("qeharness")
+    held, kept = SimpleQueue(), (logger.handlers, logger.propagate)
+    logger.handlers, logger.propagate = [QueueHandler(held)], False
+
+    def restored() -> list:
+        logger.handlers, logger.propagate = kept
+        return [held.get() for _ in range(held.qsize())]
+
+    try:
+        results = _run_pair(*job)
+    except HarnessError as exc:
+        results = exc
+    except BaseException:
+        _replay(restored())
+        raise
+    return results, restored()
+
+
+def _replay(records: list) -> None:
+    """Hand records to the handlers of the loggers that made them."""
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
 def _serve() -> None:
     """A child's loop: read pickled _run_pair arguments from stdin, run
-    them, and write the pickled outcome (see _Children) to stdout, until
-    stdin ends. SIGINT is left to the parent; SIGTERM interrupts as Ctrl-C
-    would, so a staged write is undone, and so does the parent's end while a
-    job runs (_interrupt_if_orphaned). A child whose outcome cannot be sent,
-    its parent gone, exits with status 1. What the child prints goes to
-    stderr, keeping stdout for outcomes."""
+    them, and write the pickled _outcome to stdout, until stdin ends. SIGINT
+    is left to the parent; SIGTERM interrupts as Ctrl-C would, so a staged
+    write is undone, and so does the parent's end while a job runs
+    (_interrupt_if_orphaned). A child whose outcome cannot be sent, its
+    parent gone, exits with status 1. What the child prints goes to stderr,
+    keeping stdout for outcomes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.default_int_handler)
-    records = SimpleQueue()
-    logger = logging.getLogger("qeharness")
-    logger.addHandler(QueueHandler(records))
-    logger.setLevel(logging.INFO)
+    logging.getLogger("qeharness").setLevel(logging.INFO)
     with os.fdopen(os.dup(1), "wb") as outcomes:
         os.dup2(2, 1)
         try:
@@ -578,13 +605,9 @@ def _serve() -> None:
                 done = threading.Event()
                 threading.Thread(target=_interrupt_if_orphaned, args=(done,),
                                  daemon=True).start()
-                try:
-                    results = _run_pair(*job)
-                except HarnessError as exc:
-                    results = exc
+                outcome = _outcome(job)
                 done.set()
-                made = [records.get() for _ in range(records.qsize())]
-                pickle.dump((results, made), outcomes)
+                pickle.dump(outcome, outcomes)
                 outcomes.flush()
         except KeyboardInterrupt:
             sys.exit(130)

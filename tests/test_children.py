@@ -1,5 +1,5 @@
-"""Pairs run side by side in child processes: the files, log lines and
-RunResult of one process, typed errors across the process boundary, and no
+"""Pairs run side by side in this process and in child processes: the files,
+log lines and RunResult of one process, typed errors across the process boundary, and no
 child or temp file left behind by any way a run ends."""
 
 from __future__ import annotations
@@ -170,20 +170,26 @@ def _drop_markers(*pairs):
 
 
 # case -> (manifest changes, damage done to a finished run before its
-# resume, or None for a fresh run, and the children the resume starts)
+# resume, or None for a fresh run, and the children the resume starts beside
+# the parent by the CPUs it may use: min(CPUs, pairs to run) - 1)
 CASES = {
-    "fresh": ({}, None, 2),
-    "partial-resume": ({}, _drop_markers("en-gu", "si-en"), 2),
-    "noop-resume": ({}, _drop_markers(), 0),
-    "garbage": ({"mock": {"policy": "garbage", "p": 0.4}}, None, 2),
-    "fixed": ({"mock": {"policy": "fixed", "text": "Score: 50"}}, None, 2),
+    "fresh": ({}, None, {2: 1, 3: 2}),
+    "partial-resume": ({}, _drop_markers("en-gu", "si-en"), {2: 1, 3: 1}),
+    "noop-resume": ({}, _drop_markers(), {2: 0, 3: 0}),
+    "garbage": ({"mock": {"policy": "garbage", "p": 0.4}}, None,
+                {2: 1, 3: 2}),
+    "fixed": ({"mock": {"policy": "fixed", "text": "Score: 50"}}, None,
+              {2: 1, 3: 2}),
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("case, cpus", [
+    pytest.param(case, cpus, id=case if cpus == 2 else f"{case}-{cpus}-cpus")
+    for cpus in (2, 3) for case in CASES])
 def test_children_make_the_files_of_one_process(tmp_path, data, monkeypatch,
-                                                started, case):
+                                                started, case, cpus):
     changes, damage, children = CASES[case]
+    monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
     one, many = tmp_path / "one", tmp_path / "many"
     if damage is not None:
         with monkeypatch.context() as patch:
@@ -196,8 +202,17 @@ def test_children_make_the_files_of_one_process(tmp_path, data, monkeypatch,
         _one_process(patch)
         result_one = run(_manifest(data, one, **changes))
     assert started == []
+    ran = []  # the pairs the parent ran itself
+    run_pair = pipeline._run_pair
+
+    def spied(*job):
+        ran.append(job[1].pair)
+        return run_pair(*job)
+
+    monkeypatch.setattr(pipeline, "_run_pair", spied)
     result_many = run(_manifest(data, many, **changes))
-    assert len(started) == children
+    assert len(started) == children[cpus]
+    assert ran
     assert all(proc.returncode == 0 for proc in started)
     _assert_same_run(one, result_one, many, result_many)
     if damage is None:
@@ -226,7 +241,7 @@ def test_a_childs_warning_keeps_its_traceback(tmp_path, data, monkeypatch,
         _one_process(patch)
         result_one = run(_manifest(data, one))
     result_many = run(_manifest(data, many))
-    assert len(started) == 2
+    assert len(started) == 1
     _assert_same_run(one, result_one, many, result_many)
     lines = _log_lines(many)
     warned = [i for i, line in enumerate(lines)
@@ -349,8 +364,8 @@ def _spoil(path: Path) -> bytes:
 def test_the_first_failed_pair_in_manifest_order_raises(tmp_path, data,
                                                         monkeypatch, started):
     clean = _clean(data, tmp_path, monkeypatch)
-    # the two spoiled pairs are now the largest, so both children start on
-    # them, and both fail
+    # the two spoiled pairs are now the largest, so the parent and the child
+    # start on them, and both fail
     kept = {path: _spoil(path) for path in (data.parent / "en-gu.train.tsv",
                                             data.parent / "si-en.test.tsv")}
     one, many = tmp_path / "one", tmp_path / "many"
@@ -362,7 +377,7 @@ def test_the_first_failed_pair_in_manifest_order_raises(tmp_path, data,
         run(_manifest(data, many))
     assert str(in_many.value) == str(in_one.value)
     assert "en-gu.train.tsv" in str(in_many.value)
-    assert len(started) == 2
+    assert len(started) == 1
     _assert_nothing_left(many, started)
     # no pair started after the failures: et-en has no marker
     assert list((many / "fingerprints").iterdir()) == []
@@ -464,14 +479,15 @@ def test_children_import_the_callers_package_not_its_main(tmp_path, data):
     assert proc.returncode == 0, proc.stderr
     calls = sum(n_test for _, _, n_test in PAIRS)
     assert proc.stdout.splitlines() == ["script ran",
-                                        f"children 2 calls {calls}"]
+                                        f"children 1 calls {calls}"]
 
 
 def test_a_killed_parent_stops_its_children_and_resumes(tmp_path, data,
                                                         monkeypatch):
-    """SIGKILL a run's parent while its children are mid-pair: they end
-    within 0.5 s without a traceback, nothing in the run directory changes
-    after that, and a resume gives the files of an uninterrupted run."""
+    """SIGKILL a run's parent while it and its child are mid-pair: the
+    child ends within 0.5 s without a traceback, nothing in the run
+    directory changes after that, and a resume gives the files of an
+    uninterrupted run."""
     clean = _clean(data, tmp_path, monkeypatch)
     out = tmp_path / "run"
     folder = tmp_path / "inject"
@@ -501,6 +517,7 @@ def test_a_killed_parent_stops_its_children_and_resumes(tmp_path, data,
         import sys
         sys.path.insert(0, {str(Path(qeharness.__file__).parent.parent)!r})
         from qeharness import pipeline
+        import slow_child
 
         pipeline._CHILD_BREAK_EVEN = 0
         pipeline._cpus = lambda: 2

@@ -343,7 +343,10 @@ def test_run_restores_the_package_logger(tmp_path, monkeypatch, raised,
         logger.setLevel(saved_level)
     assert after == before
     assert len(opened) == 1 and opened[0].stream is None  # closed
-    assert "run start" in (tmp_path / "run" / "log.txt").read_text()
+    logged = (tmp_path / "run" / "log.txt").read_text()
+    assert "run start" in logged
+    if isinstance(raised, KeyboardInterrupt):  # the pair's lines are kept
+        assert "en-gu train split has 40 segments, expected 7000" in logged
 
 
 def test_overlapping_runs_take_turns_on_the_package_logger(tmp_path):

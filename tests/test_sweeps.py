@@ -1,7 +1,9 @@
 """Kill and damage sweeps through cli.main over a small finished run (two
 pairs x two templates, a garbage mock). A run killed just before or just
 after any of its file moves resumes to the bytes of an uninterrupted run
-and leaves no temp file. A finished run with any one of its files damaged
+and leaves no temp file. So does a run whose pairs are shared between the
+parent and a child process when the parent is killed; when the child is,
+the run exits 1 with ChildFailed first. A finished run with any one of its files damaged
 either resumes to those bytes or exits 1 with a typed error naming the
 file; a traceback is a failure. The same holds when one of the run's
 corpus TSVs is damaged instead. One exception is pinned elsewhere
@@ -34,22 +36,40 @@ PAIRS = ("en-gu", "si-en")
 SRC = Path(__file__).resolve().parent.parent / "src"
 _KILLED = 70  # the exit status of a child killed at a move
 
-# runs cli.main with argv[3:], ending the process with os._exit just
-# before or just after (argv[2]) its argv[1]-th os.replace
-_KILLER = f"""\
-import os, sys
-from qeharness.cli import main
-at, when = int(sys.argv[1]), sys.argv[2]
+# ends the process that runs it with os._exit just before or just after
+# ({when!r}) its {at}-th os.replace
+_KILLING = f"""\
+import os
 replace, moves = os.replace, []
-def killing(src, dst):
+def kill_at_move(src, dst):
     moves.append(dst)
-    if len(moves) == at and when == "before":
+    if len(moves) == {{at}} and {{when!r}} == "before":
         os._exit({_KILLED})
     replace(src, dst)
-    if len(moves) == at:
+    if len(moves) == {{at}}:
         os._exit({_KILLED})
-os.replace = killing
-sys.exit(main(sys.argv[3:]))
+os.replace = kill_at_move
+"""
+
+# runs cli.main with argv[4:], killing (_KILLING) the process named by
+# argv[3] at its argv[1]-th move, before or after (argv[2]): "one", a run in
+# one process, or "parent" or "child" of a run whose pairs are shared
+# between the parent and one child
+_KILLER = f"""\
+import sys
+from qeharness import pipeline
+from qeharness.cli import main
+at, when, where = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+killing = {_KILLING!r}.format(at=at, when=when)
+if where != "one":
+    pipeline._CHILD_BREAK_EVEN = 0
+    pipeline._cpus = lambda: 2
+if where == "child":
+    pipeline._CHILD_CODE = pipeline._CHILD_CODE.replace(
+        "; _serve()", f"; exec({{killing!r}}); _serve()")
+else:
+    exec(killing)
+sys.exit(main(sys.argv[4:]))
 """
 
 
@@ -127,6 +147,25 @@ def _changed(clean: Clean, out: Path) -> list[str]:
 
 # -- kill sweep -----------------------------------------------------------------
 
+def _killed(clean: Clean, where: str, at: int, when: str, out: Path
+            ) -> subprocess.CompletedProcess:
+    """A run of clean's manifest into out, with the process named by where
+    (see _KILLER) killed at its at-th move, before or after (when); it
+    returns once the parent and any child have ended."""
+    return subprocess.run(
+        [sys.executable, "-c", _KILLER, str(at), when, where, "run",
+         "--manifest", str(clean.manifest), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=120)
+
+
+def _resumes_clean(clean: Clean, out: Path) -> None:
+    assert _resume(clean, out) == (0, "")
+    assert _changed(clean, out) == []
+    assert not list(out.rglob("*.tmp"))
+    shutil.rmtree(out.parent)
+
+
 # 16 of the run's 52 kill points, each a fresh interpreter
 @settings(max_examples=16, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -134,16 +173,36 @@ def test_a_run_killed_at_a_move_resumes_to_the_same_bytes(clean, data):
     at = data.draw(st.integers(1, clean.moves), label="move")
     when = data.draw(st.sampled_from(["before", "after"]), label="kill")
     out = Path(tempfile.mkdtemp(dir=clean.base)) / "run"
-    killed = subprocess.run(
-        [sys.executable, "-c", _KILLER, str(at), when, "run", "--manifest",
-         str(clean.manifest), "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-        text=True, timeout=120)
+    killed = _killed(clean, "one", at, when, out)
     assert killed.returncode == _KILLED, killed.stderr
-    assert _resume(clean, out) == (0, "")
-    assert _changed(clean, out) == []
-    assert not list(out.rglob("*.tmp"))
-    shutil.rmtree(out.parent)
+    _resumes_clean(clean, out)
+
+
+# The parent makes manifest.json's and summary.json's moves and its own
+# pair's, the child its pair's: 6 for each of the pair's two combos. A kill
+# point is drawn from the 2 x 14 of the parent or the 2 x 12 of the child,
+# 5 of each, each a fresh parent and child.
+_MOVES = {"parent": 2 + 2 * 6, "child": 2 * 6}
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("where", list(_MOVES))
+def test_a_run_with_a_child_killed_at_a_move_resumes_to_the_same_bytes(
+        clean, where, data):
+    at = data.draw(st.integers(1, _MOVES[where]), label="move")
+    when = data.draw(st.sampled_from(["before", "after"]), label="kill")
+    out = Path(tempfile.mkdtemp(dir=clean.base)) / "run"
+    killed = _killed(clean, where, at, when, out)
+    if where == "parent":
+        assert killed.returncode == _KILLED, killed.stderr
+    else:
+        assert killed.returncode == 1, killed.stderr
+        assert killed.stderr.startswith("error[ChildFailed]: the child "
+                                        "process running pair "), \
+            killed.stderr
+        assert not list(out.rglob("*.tmp"))  # the parent removed the child's
+    _resumes_clean(clean, out)
 
 
 def test_the_kill_sweep_covers_every_move(clean):

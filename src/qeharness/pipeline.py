@@ -237,11 +237,13 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
     policy, no backend passed in), the process may use at least two CPUs
     (its affinity mask), and at least two pairs, holding more than
     _CHILD_BREAK_EVEN (6 MB) of TSV between them, have a combo whose marker
-    does not name its fingerprint, min(CPUs, such pairs) - 1 children:
-    fresh interpreters started from sys.executable with this package first
-    on their path, which never import the caller's __main__. With children
-    the pairs are handed out largest first, else, as for an HTTP run or a
-    run given a backend (one in-flight budget), in manifest order. A worker
+    does not name its fingerprint, min(CPUs, such pairs) - 1 children, so
+    two CPUs pay for one child start (the 6 MB, timed for two, is thus a
+    conservative threshold): fresh interpreters started from sys.executable
+    with this package first on their path, which never import the caller's
+    __main__. With children the pairs are handed out largest first, else,
+    as for an HTTP run or a run given a backend (one in-flight budget), in
+    manifest order. A worker
     runs a pair's combos from parse to marker (_outcome); here the plan, the
     skip checks, log.txt and summary.json are made, and each pair's results
     and log records are taken in manifest order, so the files and the
@@ -413,8 +415,8 @@ def _cpus() -> int:
 # must outlast 0.34 s: 0.34 s x 18 MB/s is about 6 MB. Timed on a 2-vCPU Xeon
 # VM (Python 3.11) over two pairs cut to size, two children lost at 4 MB
 # (0.51 s in one process against 0.58 s) and won 7 of 8 runs at 6 MB (0.73 s
-# against 0.69 s). As this process is a worker, two CPUs now pay for one
-# start, so 6 MB is a conservative threshold.
+# against 0.69 s). As this process is itself a worker, two CPUs pay for one
+# start, not two, so 6 MB is a conservative threshold.
 _CHILD_BREAK_EVEN = 6_000_000
 
 

@@ -3,9 +3,9 @@ pairs x two templates, a garbage mock). A run killed just before or just
 after any of its file moves resumes to the bytes of an uninterrupted run
 and leaves no temp file. So does a run whose pairs are shared between the
 parent and a child process when the parent is killed; when the child is,
-the run exits 1 with ChildFailed first. A finished run with any one of its files damaged
-either resumes to those bytes or exits 1 with a typed error naming the
-file; a traceback is a failure. The same holds when one of the run's
+the run exits 1 with ChildFailed first. A finished run with any one of its
+files damaged either resumes to those bytes or exits 1 with a typed error
+naming the file; a traceback is a failure. The same holds when one of the run's
 corpus TSVs is damaged instead. One exception is pinned elsewhere
 (test_resume's test_changed_artifact_takes_the_full_path): an outputs file
 that a damage leaves parseable is reused under its marker's fingerprint, so
@@ -208,7 +208,7 @@ def test_a_run_with_a_child_killed_at_a_move_resumes_to_the_same_bytes(
 def test_the_kill_sweep_covers_every_move(clean):
     # 6 files per combo and manifest.json and summary.json; a kill point
     # past the last move would never be reached
-    assert clean.moves == 4 * 6 + 2
+    assert clean.moves == 4 * 6 + 2 == sum(_MOVES.values())
 
 
 # -- damage sweep ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from .corpus import (SCORE_BINS, Field, LangPair, ScoreBin, Segment, Split,
                      bin_of, json_fields, read_json)
 from .errors import (EmptyBin, ExemplarCountMismatch, ExemplarLeakage,
                      PlaceholderUnresolved, TemplateInvalid, TemplateMissing)
-from .seeding import rank_key
+from .seeding import seeded_order
 
 log = logging.getLogger(__name__)
 
@@ -349,7 +349,7 @@ def _ranked_ids(seed: int, pair: str, label: str,
     is hashed once per (seed, pair) rather than once per pick. The key holds
     ids, not segments, which are costly to hash.
     """
-    return tuple(sorted(ids, key=lambda i: rank_key(seed, pair, label, i)))
+    return tuple(seeded_order(ids, seed, pair, label))
 
 
 def _nearest_populated(by_bin: list[dict[int, Segment]],

@@ -492,7 +492,8 @@ def test_a_killed_parent_stops_its_children_and_resumes(tmp_path, data,
     out = tmp_path / "run"
     folder = tmp_path / "inject"
     folder.mkdir()
-    # each mock call takes 20 ms, so each pair takes 0.8 s or more
+    # each mock call takes 20 ms, so each pair takes 0.8 s or more; a call
+    # names its process as it starts
     (folder / "slow_child.py").write_text(textwrap.dedent("""
         import os
         import sys
@@ -502,13 +503,10 @@ def test_a_killed_parent_stops_its_children_and_resumes(tmp_path, data,
         original = gateway.MockBackend._apply
 
         def _apply(self, policy, prompt):
-            if not self.calls_seen:
-                print("working", os.getpid(), file=sys.stderr, flush=True)
-            self.calls_seen += 1
+            print("working", os.getpid(), file=sys.stderr, flush=True)
             time.sleep(0.02)
             return original(self, policy, prompt)
 
-        gateway.MockBackend.calls_seen = 0
         gateway.MockBackend._apply = _apply
     """), encoding="utf-8")
     script = tmp_path / "parent.py"
@@ -538,10 +536,19 @@ def test_a_killed_parent_stops_its_children_and_resumes(tmp_path, data,
 
     reader = threading.Thread(target=drain, daemon=True)
     reader.start()
+    # the kill follows a line the parent prints as a mock call starts, once
+    # the child works too: it lands in that call's 20 ms, while the
+    # parent's main thread waits on the dispatch, never in a staged write
     seen = []
-    while sum(line.startswith("working") for line in seen) < 2:
+    pids = set()
+    while True:
         seen.append(lines.get(timeout=60))
         assert seen[-1] is not None, "".join(seen[:-1])
+        if seen[-1].startswith("working"):
+            pid = int(seen[-1].split()[1])
+            if pid == proc.pid and pids - {proc.pid}:
+                break
+            pids.add(pid)
     proc.kill()
     proc.wait()
     reader.join(0.5)  # a child still running holds stderr open

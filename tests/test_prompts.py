@@ -302,7 +302,7 @@ def test_icl_templates_hash_each_train_segment_once(monkeypatch, templates):
         hashed.append(parts)
         return real(*parts)
 
-    # rank_key looks stable_hash up in the seeding module at call time
+    # seeded_order looks stable_hash up in the seeding module at call time
     monkeypatch.setattr(seeding, "stable_hash", counted)
     prompts._ranked_ids.cache_clear()
     for tid in ICL_TEMPLATES:

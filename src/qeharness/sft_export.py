@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -98,38 +96,34 @@ def _shuffled_lines(segments: Sequence[Segment], template: PromptTemplate,
     instruction) and its segment_id. A segment whose texts hold a "{", or
     whose pair has no pieces, is rendered alone by render_zero_shot.
 
-    Segments rank as their indexes, keyed by the text of
-    str((str(seg.pair), seg.id)). That text and the pair's state are found
-    once per run of segments sharing a pair object, so no segment hashes or
-    formats its LangPair. Keys and indexes are not containers: a
-    (state, segment) tuple per segment would cost about one full garbage
-    collection more per pooled export."""
+    A segment ranks by the text of str((str(seg.pair), seg.id)), made
+    from its pair's entry, which is found by the id of its pair object:
+    no segment hashes or formats its LangPair."""
     escape = json.encoder.encode_basestring_ascii  # json.dumps' own
     version = escape(template.version)
     outputs: dict = {}  # score -> its escaped output
-    # pair -> (its escaped pieces or None, its escaped name,
-    #          its line ends by score)
+    # pair -> (its rank key's opening, its escaped pieces or None,
+    #          its escaped name, its line ends by score)
     pairs: dict = {}
-    keys: list[str] = []  # by segment index: its rank key's text
-    states: list = []  # by segment index: its pair's entry in pairs
-    for pair, run in groupby(segments, attrgetter("pair")):
-        state = pairs.get(pair)
-        if state is None:
+    # id of each pair object the segments hold, which they keep alive ->
+    # its entry in pairs
+    by_id: dict = {}
+    for pair in {id(seg.pair): seg.pair for seg in segments}.values():
+        entry = pairs.get(pair)
+        if entry is None:
             pieces = fill_template(template, pair)[1]
-            state = pairs[pair] = (
+            entry = pairs[pair] = (
+                f"({str(pair)!r}, ",
                 pieces and [escape(piece)[1:-1] for piece in pieces],
                 escape(str(pair)), {})
-        opening = f"({str(pair)!r}, "
-        count = len(keys)
-        keys += [f"{opening}{seg.id!r})" for seg in run]
-        states += [state] * (len(keys) - count)
-    order = seeded_order(range(len(keys)), seed, "sft-shuffle",
-                         key=keys.__getitem__)
+        by_id[id(pair)] = entry
+    order = seeded_order(
+        segments, seed, "sft-shuffle",
+        key=lambda seg: f"{by_id[id(seg.pair)][0]}{seg.id!r})")
     for start in range(0, len(order), _CHUNK):
         lines = []
-        for index in order[start:start + _CHUNK]:
-            seg = segments[index]
-            pieces, name, ends = states[index]
+        for seg in order[start:start + _CHUNK]:
+            _, pieces, name, ends = by_id[id(seg.pair)]
             # a zero by its repr, as 0.0 == -0.0 while they format apart
             score = seg.da_mean or repr(seg.da_mean)
             end = ends.get(score)

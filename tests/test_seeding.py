@@ -56,11 +56,6 @@ def test_seeded_order_ranks_by_the_per_part_payload(keys, seed, context):
         _per_part_order(keys, seed, *context)
 
 
-def test_items_of_one_key_keep_their_input_order():
-    items = [(i, ("en-gu", 7)) for i in range(5)]
-    assert seeded_order(items, 1, key=lambda it: it[1]) == items
-
-
 @pytest.mark.parametrize("parts", [("\ud800",), (3, "en-gu", "a\udfffb"),
                                    (3, "a\udfffb", "en-gu")])
 def test_lone_surrogate_is_refused_by_both_encodings(parts):

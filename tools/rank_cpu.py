@@ -8,7 +8,7 @@ all eight pairs. Each round then times, with time.perf_counter:
 - sft_rank_s: the `seeded_order` call of a pooled export (`export-sft
   --mode umt`, shuffle seed --seed) over all 75,000 train records, timed
   as perfbench traces it, through sft_export's module attribute;
-- sft_export_s: that whole export, written to a temporary directory;
+- sft_export_s: that whole export, written under the work directory;
 - icl_select_s: the 24 exemplar selections of a run, 8 pairs x 3 ICL
   templates under --seed, as pipeline.render_prompts makes them, with the
   bin-rank cache emptied first.

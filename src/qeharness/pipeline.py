@@ -221,12 +221,13 @@ def run(manifest: RunManifest, backend=None) -> RunResult:
 
     Each finished combo leaves a marker, fingerprints/<stem>.json, holding
     its fingerprint (_combo_fingerprint) and the SHA-256 of its four
-    artifacts. With resume on, a combo whose marker matches and whose
-    artifacts still hash to the recorded digests is skipped: its report and
-    ledger are read back and nothing is rendered, dispatched or written.
-    Otherwise the combo runs again, reusing persisted outputs segment by
-    segment only when its marker names the same fingerprint; a missing
-    marker, or one naming another fingerprint, reuses none. Each pair is
+    artifacts. With resume on, a file is kept only when it hashes to the
+    digest its marker recorded under the combo's fingerprint. A combo whose
+    four artifacts are kept is skipped: its report and ledger are read back
+    and nothing is rendered, dispatched or written. Otherwise the combo runs
+    again, reading back its outputs whole when they are kept, else
+    dispatching every prompt; a missing marker, or one naming another
+    fingerprint, keeps nothing. Each pair is
     planned as soon as its TSVs are hashed (_plan_pair): only the combos
     whose marker names their fingerprint have their artifacts hashed, on a
     pool of one thread per CPU, while the next pair's TSVs are hashed. The
@@ -688,16 +689,22 @@ def _combo_paths(out: Path, pair: str, template, model_name: str, seed: int
 def _run_combo(manifest: RunManifest, pair: str, load, combo: _Combo):
     """Skip or run one combo, its prehash resolved (_resolved); load() gives
     the pair's (corpus, backend), which a skipped combo never asks for.
-    Returns (dispatched, report, ledger, error). The marker is read here again,
-    so a template listed twice sees the marker its twin wrote in this
-    run."""
+    Returns (dispatched, report, ledger, error). An artifact is kept only
+    when its file hashes to the digest the marker recorded under this
+    combo's fingerprint: all four kept, the combo is skipped; the
+    outputs kept, they are read back whole and nothing is dispatched; else
+    every prompt is dispatched. The marker is read here again, so a
+    template listed twice sees the marker its twin wrote in this run."""
     seed = manifest.seed
     tid, template, cfg, fingerprint, artifacts, marker_path, prehash = combo
     marker = _read_marker(marker_path) if manifest.resume else {}
-    matches = marker.get("fingerprint") == fingerprint
-    if matches and _artifacts_unchanged(
-            marker.get("artifacts"),
-            _digests(artifacts) if prehash is None else prehash):
+    found = {}  # each artifact's digest now, when the marker may vouch
+    if marker.get("fingerprint") == fingerprint:
+        found = _digests(artifacts) if prehash is None else prehash
+    # a file that cannot be read is never kept, not even for a recorded null
+    kept = {kind for kind, digest in found.items()
+            if digest is not None and marker["artifacts"].get(kind) == digest}
+    if kept == artifacts.keys():
         report, ledger, error = read_json(artifacts["report"], _report_file,
                                           ManifestError)
         log.info("%s/%s: skipped, finished under the same fingerprint", pair,
@@ -705,34 +712,29 @@ def _run_combo(manifest: RunManifest, pair: str, load, combo: _Combo):
         return 0, report, ledger, error
 
     corpus, backend = load()
-    # Only outputs the marker vouches for are kept, to be reused segment by
-    # segment. Claiming the combo before anything is rewritten keeps a run
-    # killed in the middle from leaving outputs under another's marker.
-    if not matches:
-        artifacts["outputs"].unlink(missing_ok=True)
-    write_json(marker_path, {"fingerprint": fingerprint, "artifacts": {}})
-
     prompts = render_prompts(corpus, template, seed, manifest.icl_seed)
     digests = {"prompts": write_lines(artifacts["prompts"],
                                       prompt_lines(prompts))}
-
-    persisted: dict[int, ModelOutput] = {}
-    if artifacts["outputs"].exists():
-        for output in read_records(artifacts["outputs"], ModelOutput.from_dict):
-            persisted[output.prompt_ref.segment_id] = output
-
-    todo = [p for p in prompts if p.target_segment_id not in persisted]
-    fresh = complete_batch(cfg, todo, backend)
-    # a prompt refused before sending (context overflow) made no attempt
-    dispatched = sum(1 for o in fresh if o.attempt_count > 0)
-    by_segment = dict(persisted)
-    for output in fresh:
-        by_segment[output.prompt_ref.segment_id] = output
-    outputs = [by_segment[p.target_segment_id] for p in prompts]
+    if "outputs" in kept:
+        outputs = list(read_records(artifacts["outputs"],
+                                   ModelOutput.from_dict))
+        dispatched, resumed = 0, len(outputs)
+    else:
+        if found.get("outputs") is not None:
+            log.info("%s/%s: %s is not the outputs file its marker recorded; "
+                     "every prompt is dispatched again", pair, tid.value,
+                     artifacts["outputs"])
+        outputs = complete_batch(cfg, prompts, backend)
+        # a prompt refused before sending (context overflow) made no attempt
+        dispatched, resumed = sum(o.attempt_count > 0 for o in outputs), 0
     digests["outputs"] = write_lines(artifacts["outputs"],
                                      output_lines(outputs))
+    # the outputs are vouched for from here on, so a kill before the last
+    # marker resumes without dispatching
+    write_json(marker_path, {"fingerprint": fingerprint,
+                             "artifacts": {"outputs": digests["outputs"]}})
     log.info("%s/%s: %d dispatched, %d resumed", pair, tid.value, dispatched,
-             len(persisted))
+             resumed)
 
     results, ledger = extract_batch(outputs, model=cfg.model_name)
     digests["extractions"] = write_lines(artifacts["extractions"],
@@ -795,19 +797,14 @@ def _combo_fingerprint(manifest: RunManifest, digest: str, template,
 
 def _read_marker(path: Path) -> dict:
     """The combo marker at path, or {} (which matches no fingerprint) when
-    it is missing, unreadable or not a JSON object."""
+    it is missing, unreadable, not a JSON object or without an "artifacts"
+    object."""
     try:
         marker = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return {}
-    return marker if isinstance(marker, dict) else {}
-
-
-def _artifacts_unchanged(recorded, digests: dict) -> bool:
-    """Whether the marker recorded, for each artifact, the digest its file
-    hashes to now (digests, from _digests). An artifact that cannot be read
-    matches nothing, not even a recorded null."""
-    return recorded == digests and None not in digests.values()
+    return (marker if isinstance(marker, dict)
+            and isinstance(marker.get("artifacts"), dict) else {})
 
 
 def _digests(artifacts: dict[str, Path]) -> dict[str, str | None]:

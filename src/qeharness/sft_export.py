@@ -33,11 +33,6 @@ HYPERPARAMETER_MEMO = {
     "precision": "fp16",
 }
 
-# lines made and written at a time: the 75,000 lines of perfbench's
-# pooled export take 122 MB, a chunk of them about 7 MB
-_CHUNK = 4096
-
-
 class SftMode(Enum):
     UMT = "umt"  # unified multilingual: all pairs pooled in one file
     ILT = "ilt"  # independent language-pair: one file per pair
@@ -89,8 +84,7 @@ def _train(corpus: Corpus, template: PromptTemplate) -> tuple[Segment, ...]:
 def _shuffled_lines(segments: Sequence[Segment], template: PromptTemplate,
                     seed: int) -> Iterator[str]:
     """The lines sft_lines makes of the segments' records, in the seeded
-    shuffle, each written straight from its segment, _CHUNK segments at a
-    time. A pair's fill_template pieces are escaped once, and its line ends
+    shuffle, each made straight from its segment as it is taken. A pair's fill_template pieces are escaped once, and its line ends
     once per distinct score; a line adds the escapes of its segment's texts
     (JSON escapes per code point, so that equals escaping the whole
     instruction) and its segment_id. A segment whose texts hold a "{", or
@@ -120,35 +114,31 @@ def _shuffled_lines(segments: Sequence[Segment], template: PromptTemplate,
     order = seeded_order(
         segments, seed, "sft-shuffle",
         key=lambda seg: f"{by_id[id(seg.pair)][0]}{seg.id!r})")
-    for start in range(0, len(order), _CHUNK):
-        lines = []
-        for seg in order[start:start + _CHUNK]:
-            _, pieces, name, ends = by_id[id(seg.pair)]
-            # a zero by its repr, as 0.0 == -0.0 while they format apart
-            score = seg.da_mean or repr(seg.da_mean)
-            end = ends.get(score)
-            if end is None:
-                output = outputs.get(score)
-                if output is None:
-                    output = outputs[score] = escape(
-                        f"Score: {seg.da_mean:.1f}")
-                # the JSON after the instruction, around the segment_id
-                end = ends[score] = (
-                    f', "meta": {{"pair": {name}, "segment_id": ',
-                    f', "template_version": {version}}}, '
-                    f'"output": {output}}}\n')
-            before, after = end
-            source, translation = seg.source, seg.translation
-            if pieces and "{" not in source and "{" not in translation:
-                pre, mid, post = pieces
-                lines.append(f'{{"instruction": "{pre}{escape(source)[1:-1]}'
-                             f'{mid}{escape(translation)[1:-1]}{post}"'
-                             f'{before}{seg.id!r}{after}')
-            else:
-                prompt = render_zero_shot(template, [seg])[0]
-                lines.append(f'{{"instruction": {escape(prompt.text)}'
-                             f'{before}{seg.id!r}{after}')
-        yield from lines
+    for seg in order:
+        _, pieces, name, ends = by_id[id(seg.pair)]
+        # a zero by its repr, as 0.0 == -0.0 while they format apart
+        score = seg.da_mean or repr(seg.da_mean)
+        end = ends.get(score)
+        if end is None:
+            output = outputs.get(score)
+            if output is None:
+                output = outputs[score] = escape(f"Score: {seg.da_mean:.1f}")
+            # the JSON after the instruction, around the segment_id
+            end = ends[score] = (
+                f', "meta": {{"pair": {name}, "segment_id": ',
+                f', "template_version": {version}}}, '
+                f'"output": {output}}}\n')
+        before, after = end
+        source, translation = seg.source, seg.translation
+        if pieces and "{" not in source and "{" not in translation:
+            pre, mid, post = pieces
+            yield (f'{{"instruction": "{pre}{escape(source)[1:-1]}'
+                   f'{mid}{escape(translation)[1:-1]}{post}"'
+                   f'{before}{seg.id!r}{after}')
+        else:
+            prompt = render_zero_shot(template, [seg])[0]
+            yield (f'{{"instruction": {escape(prompt.text)}'
+                   f'{before}{seg.id!r}{after}')
 
 
 def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
@@ -156,8 +146,8 @@ def export(corpora: list[Corpus], config: SftConfig, out_dir: str | Path,
     """Write the dataset files and return the export manifest.
 
     Pooled mode writes sft_umt.jsonl; per-pair mode writes one
-    sft_ilt_{pair}.jsonl per corpus. Each line is written straight from
-    its segment, a chunk at a time (see _shuffled_lines), and equals
+    sft_ilt_{pair}.jsonl per corpus. Each line is made straight from its
+    segment as the writer takes it (see _shuffled_lines), and equals
     sft_lines' formatting of its build_records record. Every file is
     finished under its temp name, unhashed, before any is moved into place
     (staged_writes), so an export that raises replaces no file and each

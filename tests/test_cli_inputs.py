@@ -304,11 +304,20 @@ def _mistype_second_row(path: Path, name: str, value) -> None:
 def test_mistyped_outputs_row_is_row_parse_error(tmp_path, capsys, command,
                                                  name, value):
     manifest, outputs = _finished_run(tmp_path)
+    run_dir = tmp_path / "run"
+    clean = {p: p.read_bytes() for sub in ("prompts", "outputs", "extractions",
+                                           "reports", "fingerprints")
+             for p in (run_dir / sub).iterdir()}
     _mistype_second_row(outputs, name, value)
     capsys.readouterr()
-    argv = (["extract", "--outputs", str(outputs)] if command == "extract"
-            else ["run", "--manifest", str(manifest), "--resume"])
-    assert main(argv) == 1
+    if command == "resume":
+        # not the outputs file the marker recorded: dispatched again
+        assert main(["run", "--manifest", str(manifest), "--resume"]) == 0
+        summary = json.loads((run_dir / "summary.json").read_text("utf-8"))
+        assert summary["inference_calls"] == 10
+        assert {p: p.read_bytes() for p in clean} == clean
+        return
+    assert main(["extract", "--outputs", str(outputs)]) == 1
     err = capsys.readouterr().err
     assert "error[RowParseError]: row 2:" in err
     assert name in err

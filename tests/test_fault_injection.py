@@ -85,6 +85,13 @@ def _copy_of_run(finished: Path) -> Path:
     return base
 
 
+def _combo_files(run: Path) -> dict:
+    """The bytes of a run's artifacts and markers, by relative path."""
+    return {p.relative_to(run): p.read_bytes()
+            for sub in ("prompts", "outputs", "extractions", "reports",
+                        "fingerprints") for p in (run / sub).iterdir()}
+
+
 def _mistype_row(path: Path, data, declared: dict, nested: bool) -> tuple:
     """Give one row of path a mistyped field (of its prompt_ref if nested);
     returns (row number, field name)."""
@@ -215,12 +222,18 @@ def test_faulty_outputs_extract_and_resume(finished, data, fault, command):
         row, name = _mistype_row(
             path, data, ModelOutput.JSON_FIELDS if fault == "output"
             else PromptRef.JSON_FIELDS, nested=fault == "ref")
-    argv = (["extract", "--outputs", path] if command == "extract"
-            else ["run", "--manifest", base / "run.json", "--resume"])
-    code, err = _cli(*argv)
-    if fault != "cut":
-        assert code == 1 and f"error[RowParseError]: row {row}:" in err
-        assert name in err
+    if command == "resume":
+        # not the outputs file the marker recorded: dispatched again
+        assert _cli("run", "--manifest", base / "run.json", "--resume") == (
+            0, "")
+        summary = json.loads((base / "run" / "summary.json").read_text())
+        assert summary["inference_calls"] == 12
+        assert _combo_files(base / "run") == _combo_files(finished / "run")
+    else:
+        code, err = _cli("extract", "--outputs", path)
+        if fault != "cut":
+            assert code == 1 and f"error[RowParseError]: row {row}:" in err
+            assert name in err
     shutil.rmtree(base)
 
 

@@ -14,8 +14,7 @@ import pytest
 
 import qeharness.pipeline as pipeline
 from qeharness.corpus import Corpus, LangPair, Segment, Split
-from qeharness.errors import (EndpointMissing, HarnessError, ManifestError,
-                              TemplateMissing)
+from qeharness.errors import EndpointMissing, ManifestError, TemplateMissing
 from qeharness.extraction import ExtractionResult
 from qeharness.gateway import (EchoScore, Fixed, Garbage, Fail, MockBackend,
                                PromptRef, gold_map)
@@ -223,15 +222,20 @@ def test_run_garbage_mock_fills_ledger(tmp_path):
     assert report.exclusion_reasons == ledger.reasons
 
 
-def test_resume_over_torn_outputs_line_is_typed(tmp_path):
+def test_resume_over_torn_outputs_line_dispatches_again(tmp_path):
     manifest = _run_manifest(tmp_path)
     run(manifest)
-    outputs = next((Path(manifest.out_dir) / "outputs").glob("*.jsonl"))
+    out = Path(manifest.out_dir)
+    clean = {p: p.read_bytes() for sub in ("prompts", "outputs", "extractions",
+                                           "reports", "fingerprints")
+             for p in (out / sub).iterdir()}
+    outputs = next((out / "outputs").glob("*.jsonl"))
     with outputs.open("a", encoding="utf-8") as fh:
         fh.write('{"prompt_ref": {"pair": "en-gu", "segm')
     resumed = RunManifest.from_dict({**manifest.to_dict(), "resume": True})
-    with pytest.raises(HarnessError):
-        run(resumed)
+    # the torn file is not the one its marker recorded, so it is rebuilt
+    assert run(resumed).inference_calls == 25
+    assert {p: p.read_bytes() for p in clean} == clean
 
 
 def test_run_fail_fast_on_missing_templates(tmp_path):

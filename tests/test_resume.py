@@ -1,6 +1,8 @@
 """Resume over a run directory: finished combos whose fingerprint and
-artifacts match are skipped without a write, and a combo finished under
-other settings is dispatched again instead of reusing its outputs."""
+artifacts match are skipped without a write, outputs are reused whole only
+when they are the bytes their marker recorded under the combo's
+fingerprint, and a combo finished under other settings is dispatched again
+instead of reusing its outputs."""
 
 from __future__ import annotations
 
@@ -142,11 +144,14 @@ def test_changed_artifact_takes_the_full_path(tmp_path, counted, kind):
     counted.update(render=0, write_jsonl=0)
 
     result = run(manifest)
-    # the marker names this fingerprint, so the outputs are reused
-    assert result.inference_calls == 0
+    # outputs that are not the recorded bytes are dispatched again; any
+    # other file is rebuilt from the outputs its marker vouches for
+    assert result.inference_calls == (N_TEST if kind == "outputs" else 0)
     assert counted == {"render": 1, "write_jsonl": 3}
-    if kind != "outputs":
-        assert path.read_bytes() == original
+    assert path.read_bytes() == original
+    named = (f"en-gu/ag: {path} is not the outputs file its marker "
+             f"recorded; every prompt is dispatched again")
+    assert (named in (out / "log.txt").read_text()) == (kind == "outputs")
     # the rewritten artifacts are recorded, so the next resume skips
     counted.update(render=0, write_jsonl=0)
     run(manifest)
@@ -316,21 +321,69 @@ def test_outputs_left_by_a_crashed_run_are_not_reused(tmp_path, monkeypatch):
     assert run(manifest).inference_calls == N_TEST
 
 
-def test_marker_written_before_dispatch_claims_the_combo(tmp_path,
-                                                         monkeypatch):
+@pytest.mark.parametrize("edit,changes", [
+    (None, {"inference": {"temperature": 0.85}}),
+    (_edit_template_body, {}),
+], ids=["temperature", "template-body"])
+def test_a_run_under_other_settings_killed_in_dispatch_keeps_the_outputs(
+        tmp_path, monkeypatch, counted, edit, changes):
     manifest = _manifest(tmp_path, templates=["ag"])
     run(manifest)
+    out = Path(manifest.out_dir)
+    clean = _artifacts(out)
+    template_dir = str(_copied_templates(tmp_path))
+    if edit is not None:
+        edit(tmp_path)
 
     def killed(*args, **kwargs):
         raise KeyboardInterrupt
 
-    # a run under another temperature is killed during its dispatch
-    monkeypatch.setattr(pipeline, "complete_batch", killed)
-    with pytest.raises(KeyboardInterrupt):
-        run(_manifest(tmp_path, templates=["ag"],
-                      inference={"temperature": 0.85}))
-    monkeypatch.undo()
+    # a run under other settings rewrites the prompts file and is killed
+    # during its dispatch; the marker still vouches for the first outputs
+    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+        patch.setattr(pipeline, "complete_batch", killed)
+        run(_manifest(tmp_path, templates=["ag"], template_dir=template_dir,
+                      **changes))
+    counted.update(render=0, write_jsonl=0)
+    assert run(manifest).inference_calls == 0
+    # other prompt bytes are rebuilt around the outputs read back
+    assert counted["render"] == (edit is not None)
+    assert _artifacts(out) == clean
+
+
+def test_outputs_with_rows_deleted_are_rebuilt_whole(tmp_path, counted):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    out = Path(manifest.out_dir)
+    clean = _artifacts(out)
+    path = next((out / "outputs").iterdir())
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[::2]))
+    counted.update(render=0, write_jsonl=0)
+
     assert run(manifest).inference_calls == N_TEST
+    assert counted == {"render": 1, "write_jsonl": 3}
+    assert _artifacts(out) == clean
+
+
+def test_a_run_killed_after_its_outputs_resumes_without_dispatching(
+        tmp_path, monkeypatch):
+    manifest = _manifest(tmp_path, templates=["ag"])
+    run(manifest)
+    out = Path(manifest.out_dir)
+    clean = _artifacts(out)
+    shutil.rmtree(out)
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # the marker written after the outputs vouches for them
+    monkeypatch.setattr(pipeline, "extract_batch", killed)
+    with pytest.raises(KeyboardInterrupt):
+        run(manifest)
+    monkeypatch.undo()
+    assert run(manifest).inference_calls == 0
+    assert _artifacts(out) == clean
 
 
 def test_unreadable_marker_reuses_nothing(tmp_path):

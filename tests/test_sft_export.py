@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qeharness
-from qeharness import prompts, sft_export
+from qeharness import prompts
 from qeharness.corpus import Corpus, LangPair, Segment, load_corpora
 from qeharness.errors import (EmptyTrainSplit, ManifestError,
                               PlaceholderUnresolved)
@@ -195,9 +195,7 @@ def _oracle_lines(corpora, template, seed) -> str:
 
 @pytest.mark.parametrize("mode", list(SftMode))
 def test_streamed_export_matches_in_memory_oracle(tmp_path, ag_template,
-                                                  monkeypatch, mode):
-    # pairs of chunk-1, chunk, chunk+1 and several chunks of records
-    monkeypatch.setattr(sft_export, "_CHUNK", 8)
+                                                  mode):
     corpora = _corpora({"en-gu": 7, "en-hi": 8, "ne-en": 9, "si-en": 29})
     export(corpora, SftConfig(mode, shuffle_seed=4), tmp_path, ag_template)
     if mode is SftMode.UMT:
@@ -210,11 +208,9 @@ def test_streamed_export_matches_in_memory_oracle(tmp_path, ag_template,
 
 
 @pytest.mark.parametrize("mode", list(SftMode))
-def test_raising_export_replaces_no_file(tmp_path, ag_template, monkeypatch,
-                                         mode):
+def test_raising_export_replaces_no_file(tmp_path, ag_template, mode):
     # an older export of both pairs, then one whose last si-en source holds
     # a placeholder name: render raises once en-gu's records are written
-    monkeypatch.setattr(sft_export, "_CHUNK", 4)
     corpora = _corpora({"en-gu": 10, "si-en": 10})
     for m in SftMode:
         export(corpora, SftConfig(m, shuffle_seed=1), tmp_path, ag_template)
@@ -229,11 +225,9 @@ def test_raising_export_replaces_no_file(tmp_path, ag_template, monkeypatch,
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_export_memory_is_bounded_by_its_chunk(tmp_path, ag_template,
-                                               monkeypatch):
+def test_export_memory_is_bounded_by_its_chunk(tmp_path, ag_template):
     # an export that holds every record before writing peaks about 5 times
     # higher over 8 times the records; a streamed one about 1.1 times
-    monkeypatch.setattr(sft_export, "_CHUNK", 32)
 
     def peak(n: int) -> int:
         corpora = _corpora({"en-gu": n, "si-en": n})
@@ -294,9 +288,7 @@ def test_written_lines_equal_the_record_oracle(templates, braced_ag, mode,
                         _oracle_lines([c], template, seed) for c in corpora}
     except PlaceholderUnresolved:
         expected = None
-    with tempfile.TemporaryDirectory() as out, \
-            pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sft_export, "_CHUNK", 2)
+    with tempfile.TemporaryDirectory() as out:
         if expected is None:
             with pytest.raises(PlaceholderUnresolved):
                 export(corpora, SftConfig(mode, seed), out, template)

@@ -6,10 +6,7 @@ parent and a child process when the parent is killed; when the child is,
 the run exits 1 with ChildFailed first. A finished run with any one of its
 files damaged either resumes to those bytes or exits 1 with a typed error
 naming the file; a traceback is a failure. The same holds when one of the run's
-corpus TSVs is damaged instead. One exception is pinned elsewhere
-(test_resume's test_changed_artifact_takes_the_full_path): an outputs file
-that a damage leaves parseable is reused under its marker's fingerprint, so
-its combo resumes to the damaged outputs (see _reuses_damaged_outputs)."""
+corpus TSVs is damaged instead."""
 
 from __future__ import annotations
 
@@ -240,19 +237,6 @@ DAMAGES = {
 }
 
 
-def _reuses_damaged_outputs(name: str, damaged: bytes, out: Path,
-                            changed: list[str]) -> bool:
-    """Whether a resume that changed the files named changed did only what
-    a marker naming the combo's fingerprint allows today: keep the damaged
-    outputs file name, whose rows still parse, and rebuild from it that
-    combo's other files and the summary. ROADMAP item 3's journal, which
-    decides reuse by prompt, is to end this."""
-    stem = Path(name).stem
-    return (name.startswith("outputs/") and (out / name).read_bytes() == damaged
-            and all(Path(c).stem == stem or c == "summary.json"
-                    for c in changed))
-
-
 @pytest.mark.parametrize("damage", DAMAGES)
 def test_a_damaged_file_resumes_or_is_named(clean, damage):
     failures = []
@@ -261,12 +245,10 @@ def test_a_damaged_file_resumes_or_is_named(clean, damage):
         out = base / "run"
         shutil.copytree(clean.base / "clean", out)
         DAMAGES[damage](out / name)
-        damaged = (out / name).is_file() and (out / name).read_bytes()
         code, err = _resume(clean, out)
         if code == 0:
             changed = _changed(clean, out)
-            if changed and not _reuses_damaged_outputs(name, damaged, out,
-                                                       changed):
+            if changed:
                 failures.append(f"{name}: resumed to other bytes in "
                                 f"{changed}")
         elif not (code == 1 and err.startswith("error[")
